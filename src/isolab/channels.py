@@ -9,7 +9,7 @@ criterion.
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,14 +45,25 @@ def max_total_dim() -> int:
     """Dimension cap for dense computations; the ISOLAB_MAX_DIM environment
     variable overrides the default of 4096 at the user's risk."""
     raw = os.environ.get("ISOLAB_MAX_DIM")
-    return int(raw) if raw else DEFAULT_MAX_DIM
+    if not raw:
+        return DEFAULT_MAX_DIM
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"ISOLAB_MAX_DIM must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ValueError(f"ISOLAB_MAX_DIM must be at least 1, got {cap}")
+    return cap
 
 
 @dataclass(eq=False)
 class ChannelHandle:
-    """A channel given by its circuit, with dimension bookkeeping."""
+    """A channel given by its circuit, with dimension bookkeeping. The
+    minimal Kraus set is computed on first use and kept with the handle, so
+    the circuit must not change afterwards."""
 
     circuit: Circuit
+    _kraus: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         validate_circuit(self.circuit)
@@ -170,6 +181,15 @@ def kraus_from_choi(choi: ChoiMatrix, rank_tol: float = RANK_TOL) -> KrausSet:
     return KrausSet(ops)
 
 
+def _minimal_kraus(ch: ChannelHandle) -> np.ndarray:
+    """Minimal Kraus operators at RANK_TOL stacked as (r, d_out, d_in),
+    computed once per handle and shared by the isometry test and the
+    search."""
+    if ch._kraus is None:
+        ch._kraus = np.stack(kraus_from_choi(choi_of(ch)).operators)
+    return ch._kraus
+
+
 @dataclass
 class ExactIsometryResult:
     choi_rank: int
@@ -182,11 +202,14 @@ def exact_isometry_test(
 ) -> ExactIsometryResult:
     """Exact isometry criterion: the Choi matrix has rank one and the single
     Kraus operator A satisfies A*A = I within 1e-9."""
-    ks = kraus_from_choi(choi_of(ch), rank_tol)
-    rank = len(ks.operators)
+    if rank_tol == RANK_TOL:
+        ops = _minimal_kraus(ch)
+    else:
+        ops = kraus_from_choi(choi_of(ch), rank_tol).operators
+    rank = len(ops)
     if rank != 1:
         return ExactIsometryResult(rank, False, None)
-    a = ks.operators[0]
+    a = ops[0].copy()  # must not alias the handle's cached Kraus tensor
     defect = float(np.abs(a.conj().T @ a - np.eye(ch.dim_in)).max())
     if defect > ISOMETRY_TOL:
         return ExactIsometryResult(rank, False, None)
@@ -202,31 +225,40 @@ def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _output_and_slices(ops, psi: np.ndarray, d_in: int):
-    pm = psi.reshape(d_in, d_in)
-    ws = [(a @ pm).reshape(-1) for a in ops]
-    dim = ws[0].shape[0]
-    m = np.zeros((dim, dim), dtype=complex)
-    for w in ws:
-        m += np.outer(w, w.conj())
-    return m, ws
+def _evaluate(kraus: np.ndarray, psi: np.ndarray):
+    """Largest output eigenvalue of the extended channel on *psi* and its
+    eigenvector, from the r-by-r Gram matrix of the output slices.
+
+    With w_k = (A_k Psi) flattened and W the r-by-D matrix of rows w_k, the
+    output is W^T conj(W) = sum_k w_k w_k^*, whose nonzero spectrum equals
+    that of G = conj(W) W^T; a top eigenvector u of G lifts to W^T u.
+    """
+    r, d_out, d_in = kraus.shape
+    w = (kraus.reshape(r * d_out, d_in) @ psi.reshape(d_in, d_in)).reshape(r, -1)
+    f, u = top_eigenpair(w.conj() @ w.T)
+    v = w.T @ u
+    return f, v / np.linalg.norm(v), w
 
 
-def _descend_opnorm(ops, psi: np.ndarray, d_in: int, max_iter: int = 400):
+def _gradient(kraus: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Twice the gradient of the largest output eigenvalue with respect to
+    conj(psi): 2 sum_k <v, w_k> A_k^* V, with V = v as a d_out-by-d_in
+    matrix; the weighted sum of the A_k^* is the adjoint of one weighted
+    sum of the stacked operators."""
+    r, d_out, d_in = kraus.shape
+    b = ((w.conj() @ v) @ kraus.reshape(r, -1)).reshape(d_out, d_in)
+    return 2.0 * (b.conj().T @ v.reshape(d_out, d_in)).reshape(-1)
+
+
+def _descend_opnorm(kraus: np.ndarray, psi: np.ndarray, max_iter: int = 400):
     """Minimize the largest output eigenvalue over the unit sphere by
     projected gradient descent with backtracking; the subgradient comes
     from the top eigenvector. Stops when the improvement drops below
     1e-10."""
-    d_out = ops[0].shape[0]
-    m, ws = _output_and_slices(ops, psi, d_in)
-    f, v = top_eigenpair(m)
+    f, v, w = _evaluate(kraus, psi)
     step = 0.5
     for _ in range(max_iter):
-        vm = v.reshape(d_out, d_in)
-        g = np.zeros_like(psi)
-        for a, w in zip(ops, ws):
-            g += np.vdot(v, w) * (a.conj().T @ vm).reshape(-1)
-        g *= 2.0
+        g = _gradient(kraus, w, v)
         g_tan = g - np.real(np.vdot(psi, g)) * psi
         gn2 = float(np.real(np.vdot(g_tan, g_tan)))
         if gn2 < 1e-20:
@@ -236,8 +268,7 @@ def _descend_opnorm(ops, psi: np.ndarray, d_in: int, max_iter: int = 400):
         while step > 1e-16:
             cand = psi - step * g_tan
             cand = cand / np.linalg.norm(cand)
-            m_new, ws_new = _output_and_slices(ops, cand, d_in)
-            f_new, v_new = top_eigenpair(m_new)
+            f_new, v_new, w_new = _evaluate(kraus, cand)
             if f_new <= f - 1e-4 * step * gn2:
                 improved = True
                 break
@@ -245,7 +276,7 @@ def _descend_opnorm(ops, psi: np.ndarray, d_in: int, max_iter: int = 400):
         if not improved:
             break
         gain = f - f_new
-        psi, f, v, ws = cand, f_new, v_new, ws_new
+        psi, f, v, w = cand, f_new, v_new, w_new
         if gain < 1e-10:
             break
     return psi, float(f)
@@ -259,20 +290,23 @@ def min_output_opnorm(
 
     The returned value is an upper bound on the true minimum; it is
     deterministic given the seed, and using more restarts with the same
-    seed never increases it.
+    seed never increases it. Each search step costs one eigendecomposition
+    of an r-by-r Gram matrix, with r the Kraus rank of the channel.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     if ch.dim_in > MAX_SEARCH_DIM_IN:
         raise DimensionCapError(
             f"search supports input dimension up to {MAX_SEARCH_DIM_IN}, got {ch.dim_in}"
         )
     _check_cap(ch)
-    ops = kraus_from_choi(choi_of(ch)).operators
+    kraus = _minimal_kraus(ch)
     rng = np.random.default_rng(seed)
     best_val = np.inf
     best_psi = None
-    for _ in range(max(1, int(restarts))):
+    for _ in range(restarts):
         x0 = _random_unit(rng, ch.dim_in * ch.dim_in)
-        psi, val = _descend_opnorm(ops, x0, ch.dim_in)
+        psi, val = _descend_opnorm(kraus, x0)
         if val < best_val:
             best_val, best_psi = val, psi
     return float(best_val), PureState(best_psi)
@@ -301,8 +335,9 @@ def analyze_channel(
     """
     if not 0.0 <= epsilon < 0.5:
         raise ValueError("epsilon must lie in [0, 1/2)")
-    iso = exact_isometry_test(ch)
+    # The search validates its arguments before the shared Kraus set is built.
     val, psi = min_output_opnorm(ch, restarts, seed)
+    iso = exact_isometry_test(ch)
     if iso.exact_isometry:
         classification = "no-instance"
     elif val <= epsilon:

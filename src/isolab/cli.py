@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .channels import (
+    RANK_TOL,
     ChannelHandle,
     DimensionCapError,
     analyze_channel,
@@ -174,7 +175,7 @@ def choi(path):
     ch = ChannelHandle(_load_circuit(path))
     c = choi_of(ch)
     w = np.linalg.eigvalsh(c.matrix.matrix)[::-1]
-    rank = int(np.count_nonzero(w > 1e-7))
+    rank = int(np.count_nonzero(w > RANK_TOL))
     _emit(
         "choi",
         {"path": path},

@@ -118,6 +118,42 @@ def power_iteration_opnorm(m, iters=20000, tol=1e-14, seed=0):
     return float(np.sqrt(max(lam, 0.0)))
 
 
+def random_kraus(rng, d_in, d_out, rank):
+    """Kraus set of *rank* operators cut from a Haar-like random isometry of
+    shape (rank * d_out, d_in), so that sum_k A_k* A_k = I."""
+    g = rng.normal(size=(rank * d_out, d_in)) + 1j * rng.normal(size=(rank * d_out, d_in))
+    q, _ = np.linalg.qr(g)
+    return [q[k * d_out:(k + 1) * d_out] for k in range(rank)]
+
+
+def extended_output_oracle(kraus_ops, psi, d_in):
+    """Extended channel output on the pure input *psi*, summed one Kraus
+    operator at a time from D x D outer products; also returns the output
+    slices w_k = vec(A_k Psi)."""
+    pm = psi.reshape(d_in, d_in)
+    ws = [(a @ pm).reshape(-1) for a in kraus_ops]
+    dim = ws[0].shape[0]
+    m = np.zeros((dim, dim), dtype=complex)
+    for w in ws:
+        m += np.outer(w, w.conj())
+    return m, ws
+
+
+def opnorm_gradient_oracle(kraus_ops, psi, d_in):
+    """Spectrum and top eigenvector of the extended output on *psi*, and
+    twice the gradient of the top eigenvalue with respect to conj(psi),
+    2 sum_k <v, w_k> A_k* V, accumulated one Kraus operator at a time."""
+    d_out = kraus_ops[0].shape[0]
+    m, ws = extended_output_oracle(kraus_ops, psi, d_in)
+    spectrum, vecs = np.linalg.eigh(m)
+    v = vecs[:, -1]
+    vm = v.reshape(d_out, d_in)
+    g = np.zeros_like(psi)
+    for a, w in zip(kraus_ops, ws):
+        g += np.vdot(v, w) * (a.conj().T @ vm).reshape(-1)
+    return spectrum, v, 2.0 * g
+
+
 def brute_force_min_opnorm(kraus_ops, d_in, n_samples=100_000, seed=1234, batch=20_000):
     """Smallest largest-output-eigenvalue over Haar-random extended pure
     inputs, evaluated in batches; an independent sampling oracle."""

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_min_opnorm, random_circuit, random_density, random_pure
+from conftest import (
+    brute_force_min_opnorm,
+    extended_output_oracle,
+    opnorm_gradient_oracle,
+    random_circuit,
+    random_density,
+    random_kraus,
+    random_pure,
+)
 from isolab import (
     ChannelHandle,
     DimensionCapError,
@@ -25,6 +33,7 @@ from isolab import (
     purity_metrics,
     trace_norm,
 )
+from isolab.channels import _evaluate, _gradient
 
 IDENTITY = "qubits 1\n"
 DEPOLARIZER = "qubits 1\nchannel depolarize 0\n"
@@ -71,6 +80,12 @@ class TestChoi:
             choi_of(handle(IDENTITY))
         monkeypatch.setenv("ISOLAB_MAX_DIM", "4")
         assert choi_of(handle(IDENTITY)).dim_out == 2
+
+    @pytest.mark.parametrize("raw", ["abc", "4.0", "0", "-4"])
+    def test_dimension_cap_env_invalid(self, monkeypatch, raw):
+        monkeypatch.setenv("ISOLAB_MAX_DIM", raw)
+        with pytest.raises(ValueError, match="ISOLAB_MAX_DIM"):
+            choi_of(handle(IDENTITY))
 
 
 class TestKraus:
@@ -192,6 +207,52 @@ class TestMinOutputOpnorm:
         with pytest.raises(DimensionCapError):
             min_output_opnorm(handle("qubits 5\n"), restarts=1, seed=0)
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_restarts_below_one_rejected(self, restarts):
+        with pytest.raises(ValueError, match="restarts"):
+            min_output_opnorm(handle(IDENTITY), restarts=restarts, seed=0)
+
+
+# (d_in, d_out, Kraus rank): r = 1, r < D = d_out * d_in, and r = D
+SEARCH_SHAPES = [(4, 8, 1), (4, 32, 10), (4, 2, 8)]
+
+
+class TestSearchEvaluation:
+    """The Gram-matrix evaluation of the search against the per-operator
+    D x D construction of the conftest oracle."""
+
+    @pytest.mark.parametrize("d_in,d_out,rank", SEARCH_SHAPES)
+    def test_matches_oracle(self, d_in, d_out, rank):
+        rng = np.random.default_rng(60 + rank)
+        ops = random_kraus(rng, d_in, d_out, rank)
+        kraus = np.stack(ops)
+        for _ in range(5):
+            psi = random_pure(rng, d_in * d_in).amplitudes
+            f, v, w = _evaluate(kraus, psi)
+            spectrum, v_oracle, g_oracle = opnorm_gradient_oracle(ops, psi, d_in)
+            assert spectrum[-1] - spectrum[-2] > 1e-6  # simple top eigenvalue
+            assert abs(f - spectrum[-1]) < 1e-12
+            assert abs(abs(np.vdot(v_oracle, v)) - 1.0) < 1e-9
+            assert np.abs(_gradient(kraus, w, v) - g_oracle).max() < 1e-10
+
+    @pytest.mark.parametrize("d_in,d_out,rank", SEARCH_SHAPES)
+    def test_gradient_finite_difference(self, d_in, d_out, rank):
+        rng = np.random.default_rng(70 + rank)
+        ops = random_kraus(rng, d_in, d_out, rank)
+        kraus = np.stack(ops)
+        psi = random_pure(rng, d_in * d_in).amplitudes
+        f, v, w = _evaluate(kraus, psi)
+        g = _gradient(kraus, w, v)
+
+        def top(x):
+            return np.linalg.eigvalsh(extended_output_oracle(ops, x, d_in)[0])[-1]
+
+        t = 1e-6
+        for _ in range(3):
+            delta = rng.normal(size=psi.size) + 1j * rng.normal(size=psi.size)
+            slope = (top(psi + t * delta) - top(psi - t * delta)) / (2 * t)
+            assert slope == pytest.approx(np.real(np.vdot(g, delta)), abs=1e-6)
+
 
 class TestClassification:
     def test_depolarizer_yes(self):
@@ -206,6 +267,15 @@ class TestClassification:
     def test_epsilon_range(self):
         with pytest.raises(ValueError, match="epsilon"):
             classify_nonisometry(handle(IDENTITY), 0.5)
+
+    def test_choi_computed_once(self, monkeypatch):
+        import isolab.channels as channels
+
+        calls = []
+        real = channels.choi_of
+        monkeypatch.setattr(channels, "choi_of", lambda ch: calls.append(ch) or real(ch))
+        assert classify_nonisometry(handle(RESET), 0.3, restarts=2, seed=0) == "indeterminate"
+        assert len(calls) == 1
 
 
 class TestRankOneEquivalence:

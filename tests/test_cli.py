@@ -74,6 +74,18 @@ class TestAnalyze:
         res = runner.invoke(main, ["analyze", path])
         assert res.exit_code == 3
 
+    def test_zero_restarts_is_input_error(self, runner, tmp_path):
+        path = write(tmp_path, "c.circuit", DEPOLARIZER)
+        res = runner.invoke(main, ["analyze", path, "--restarts", "0"])
+        assert res.exit_code == 2
+        assert "restarts must be at least 1" in res.output
+
+    def test_invalid_dimension_cap_is_input_error(self, runner, tmp_path):
+        path = write(tmp_path, "c.circuit", DEPOLARIZER)
+        res = runner.invoke(main, ["analyze", path], env={"ISOLAB_MAX_DIM": "abc"})
+        assert res.exit_code == 2
+        assert "ISOLAB_MAX_DIM" in res.output
+
 
 class TestChoiKraus:
     def test_choi_identity(self, runner, tmp_path):
