@@ -58,11 +58,12 @@ def max_total_dim() -> int:
 
 @dataclass(eq=False)
 class ChannelHandle:
-    """A channel given by its circuit, with dimension bookkeeping. The
-    minimal Kraus set is computed on first use and kept with the handle, so
-    the circuit must not change afterwards."""
+    """A channel given by its circuit, with dimension bookkeeping. The Choi
+    matrix and the minimal Kraus set are computed on first use and kept with
+    the handle, so the circuit must not change afterwards."""
 
     circuit: Circuit
+    _choi: "ChoiMatrix | None" = field(default=None, init=False, repr=False)
     _kraus: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -181,12 +182,20 @@ def kraus_from_choi(choi: ChoiMatrix, rank_tol: float = RANK_TOL) -> KrausSet:
     return KrausSet(ops)
 
 
+def _cached_choi(ch: ChannelHandle) -> ChoiMatrix:
+    """Choi matrix of the handle's channel, computed once per handle and
+    shared by the Kraus set and the protocol."""
+    if ch._choi is None:
+        ch._choi = choi_of(ch)
+    return ch._choi
+
+
 def _minimal_kraus(ch: ChannelHandle) -> np.ndarray:
     """Minimal Kraus operators at RANK_TOL stacked as (r, d_out, d_in),
     computed once per handle and shared by the isometry test and the
     search."""
     if ch._kraus is None:
-        ch._kraus = np.stack(kraus_from_choi(choi_of(ch)).operators)
+        ch._kraus = np.stack(kraus_from_choi(_cached_choi(ch)).operators)
     return ch._kraus
 
 
@@ -205,7 +214,7 @@ def exact_isometry_test(
     if rank_tol == RANK_TOL:
         ops = _minimal_kraus(ch)
     else:
-        ops = kraus_from_choi(choi_of(ch), rank_tol).operators
+        ops = kraus_from_choi(_cached_choi(ch), rank_tol).operators
     rank = len(ops)
     if rank != 1:
         return ExactIsometryResult(rank, False, None)

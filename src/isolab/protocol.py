@@ -24,14 +24,13 @@ import numpy as np
 from .channels import (
     ChannelHandle,
     DimensionCapError,
-    choi_of,
+    _cached_choi,
     exact_isometry_test,
-    kraus_from_choi,
     max_total_dim,
     min_output_opnorm,
     probe_epsilon,
 )
-from .linalg import DensityMatrix, PureState, as_matrix
+from .linalg import HERMITICITY_TOL, TRACE_TOL, DensityMatrix, PureState, as_matrix
 
 PROB_FLOOR = 1e-12
 
@@ -59,6 +58,24 @@ def _clamp01(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
+def _swap_probabilities(m: np.ndarray, d: int) -> tuple[float, float]:
+    """Symmetric and antisymmetric outcome probabilities of the swap test on
+    the matrix *m* of two *d*-dimensional factors: (tr m +/- tr(W m))/2."""
+    tr_m = float(np.real(np.trace(m)))
+    tr_w_m = float(np.real(np.einsum("abba->", m.reshape(d, d, d, d))))
+    return _clamp01((tr_m + tr_w_m) / 2.0), _clamp01((tr_m - tr_w_m) / 2.0)
+
+
+def _project(m: np.ndarray, d: int, sign: float) -> np.ndarray:
+    """(I + sign W) m (I + sign W) / 4 for the matrix *m* of two
+    *d*-dimensional factors, unnormalized."""
+    t = m.reshape(d, d, d, d)
+    w_m = t.transpose(1, 0, 2, 3)
+    m_w = t.transpose(0, 1, 3, 2)
+    w_m_w = t.transpose(1, 0, 3, 2)
+    return ((t + sign * w_m + sign * m_w + w_m_w) / 4.0).reshape(m.shape)
+
+
 def swap_test(rho) -> SwapTestResult:
     """Two-outcome measurement with projectors (I +/- W)/2 on a bipartite
     state with equal factor dimensions.
@@ -72,20 +89,12 @@ def swap_test(rho) -> SwapTestResult:
     d = isqrt(total)
     if d * d != total or m.shape[0] != m.shape[1]:
         raise ValueError("non-square bipartition: matrix dimension is not d*d")
-    t = m.reshape(d, d, d, d)
-    w_rho = t.transpose(1, 0, 2, 3)
-    rho_w = t.transpose(0, 1, 3, 2)
-    w_rho_w = t.transpose(1, 0, 3, 2)
-    tr_rho = float(np.real(np.trace(m)))
-    tr_w_rho = float(np.real(np.einsum("abba->", t)))
-    p_sym = _clamp01((tr_rho + tr_w_rho) / 2.0)
-    p_anti = _clamp01((tr_rho - tr_w_rho) / 2.0)
+    p_sym, p_anti = _swap_probabilities(m, d)
 
     def _post(sign: float, p: float) -> DensityMatrix | None:
         if p < PROB_FLOOR:
             return None
-        block = (t + sign * w_rho + sign * rho_w + w_rho_w) / 4.0
-        return DensityMatrix(block.reshape(total, total) / p)
+        return DensityMatrix(_project(m, d, sign) / p)
 
     return SwapTestResult(p_sym, p_anti, _post(1.0, p_sym), _post(-1.0, p_anti))
 
@@ -129,23 +138,37 @@ def _coerce_witness(ch: ChannelHandle, witness) -> DensityMatrix:
 
 def _parallel_extended_output(ch: ChannelHandle, mat: np.ndarray) -> np.ndarray:
     """Apply the reference-extended channel to each copy of a two-copy
-    state, one copy at a time."""
+    matrix on (input (x) reference) (x) (input (x) reference).
+
+    The channel's natural representation S, with vec(Phi(X)) = S vec(X) in
+    row-major order, is a reshuffle of the Choi matrix J:
+    S[(x, x'), (a, a')] = d_in J[(x, a), (x', a')]. The matrix is viewed as
+    a tensor with axes (a r1 b r2 | a' r1' b' r2'); S contracts (a, a') for
+    the first copy and (b, b') for the second, and the reference axes pass
+    through unchanged.
+    """
     d_in, d_out = ch.dim_in, ch.dim_out
-    d_half_in = d_in * d_in
-    d_half_out = d_out * d_in
-    raw = kraus_from_choi(choi_of(ch)).operators
-    ext = [np.kron(a, np.eye(d_in, dtype=complex)) for a in raw]
+    j = _cached_choi(ch).matrix.matrix
+    s = d_in * j.reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3)
+    t = np.tensordot(s, mat.reshape((d_in,) * 8), axes=([2, 3], [0, 4]))
+    t = t.transpose(0, 2, 3, 4, 1, 5, 6, 7)   # (x r1 b r2 | x' r1' b' r2')
+    t = np.tensordot(s, t, axes=([2, 3], [2, 6]))
+    d_out_total = (d_out * d_in) ** 2
+    return t.transpose(2, 3, 0, 4, 5, 6, 1, 7).reshape(d_out_total, d_out_total)
 
-    first = [np.kron(b, np.eye(d_half_in, dtype=complex)) for b in ext]
-    mid = np.zeros((d_half_out * d_half_in, d_half_out * d_half_in), dtype=complex)
-    for k in first:
-        mid += k @ mat @ k.conj().T
 
-    second = [np.kron(np.eye(d_half_out, dtype=complex), b) for b in ext]
-    out = np.zeros((d_half_out * d_half_out, d_half_out * d_half_out), dtype=complex)
-    for k in second:
-        out += k @ mid @ k.conj().T
-    return out
+def _check_two_copy_output(sigma: np.ndarray) -> None:
+    """O(D^2) checks of trace and Hermiticity on the two-copy output. The
+    input to the channels is a normalized Hermitian matrix, so a violation
+    is a fault of this module, not of the witness."""
+    tr = float(np.real(np.trace(sigma)))
+    if not abs(tr - 1.0) <= TRACE_TOL:
+        raise RuntimeError(f"two-copy channel output has trace {tr!r}, not 1")
+    dev = float(np.abs(sigma - sigma.conj().T).max())
+    if not dev <= HERMITICITY_TOL:
+        raise RuntimeError(
+            f"two-copy channel output is not Hermitian (deviation {dev:.3e})"
+        )
 
 
 def run_protocol_exact(ch: ChannelHandle, witness) -> ProtocolResult:
@@ -164,13 +187,17 @@ def run_protocol_exact(ch: ChannelHandle, witness) -> ProtocolResult:
         raise DimensionCapError(
             f"protocol dimension exceeds the cap of {cap} (set ISOLAB_MAX_DIM to override)"
         )
-    step1 = swap_test(dm)
-    p1 = step1.p_symmetric
-    if step1.post_symmetric is None:
+    d_half = ch.dim_in ** 2
+    p1, _ = _swap_probabilities(dm.matrix, d_half)
+    if p1 < PROB_FLOOR:
         return ProtocolResult(p1, 0.0, 0.0)
-    sigma = _parallel_extended_output(ch, step1.post_symmetric.matrix)
-    step3 = swap_test(DensityMatrix(sigma))
-    p3 = step3.p_antisymmetric
+    # Normalized by its own trace and made exactly Hermitian, so that
+    # rounding in the projection is not magnified by 1/p1 when p1 is small.
+    block = _project(dm.matrix, d_half, 1.0)
+    post = (block + block.conj().T) / (2.0 * float(np.real(np.trace(block))))
+    sigma = _parallel_extended_output(ch, post)
+    _check_two_copy_output(sigma)
+    _, p3 = _swap_probabilities(sigma, ch.dim_out * ch.dim_in)
     return ProtocolResult(p1, p3, p1 * p3)
 
 

@@ -1,7 +1,10 @@
 """Shared test helpers: random objects, independent oracles, and circuit
 generators."""
 
+import sys
+
 import numpy as np
+import pytest
 
 from isolab import (
     AddAncilla,
@@ -15,6 +18,25 @@ from isolab import (
     swap_operator,
     unitary_gate,
 )
+
+
+@pytest.fixture
+def choi_calls(monkeypatch):
+    """Handles passed to ``choi_of`` while the test runs, counted under
+    every name an isolab module binds it to."""
+    import isolab.channels as channels
+
+    calls = []
+    real = channels.choi_of
+
+    def counting(ch):
+        calls.append(ch)
+        return real(ch)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "isolab" and getattr(module, "choi_of", None) is real:
+            monkeypatch.setattr(module, "choi_of", counting)
+    return calls
 
 
 def random_pure(rng, dim):
@@ -152,6 +174,27 @@ def opnorm_gradient_oracle(kraus_ops, psi, d_in):
     for a, w in zip(kraus_ops, ws):
         g += np.vdot(v, w) * (a.conj().T @ vm).reshape(-1)
     return spectrum, v, 2.0 * g
+
+
+def parallel_extended_output_oracle(kraus_ops, mat, d_in):
+    """Reference-extended channel applied to each copy of a two-copy matrix
+    on (input (x) reference) (x) (input (x) reference), one copy at a time,
+    with every Kraus operator kron-expanded to the full two-copy space."""
+    d_out = kraus_ops[0].shape[0]
+    d_half_in = d_in * d_in
+    d_half_out = d_out * d_in
+    ext = [np.kron(a, np.eye(d_in, dtype=complex)) for a in kraus_ops]
+
+    first = [np.kron(b, np.eye(d_half_in, dtype=complex)) for b in ext]
+    mid = np.zeros((d_half_out * d_half_in, d_half_out * d_half_in), dtype=complex)
+    for k in first:
+        mid += k @ mat @ k.conj().T
+
+    second = [np.kron(np.eye(d_half_out, dtype=complex), b) for b in ext]
+    out = np.zeros((d_half_out * d_half_out, d_half_out * d_half_out), dtype=complex)
+    for k in second:
+        out += k @ mid @ k.conj().T
+    return out
 
 
 def brute_force_min_opnorm(kraus_ops, d_in, n_samples=100_000, seed=1234, batch=20_000):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from isolab import parse_circuit, validate_circuit
+from isolab import append_output_depolarizing, parse_circuit, serialize_circuit, validate_circuit
 from isolab.cli import main
 
 DEPOLARIZER = "qubits 1\nchannel depolarize 0\n"
@@ -156,6 +156,34 @@ class TestProtocol:
         r = json.loads(res.output)["results"]
         assert 0.0 <= r["p_accept"] <= 1.0
         assert r["psi"] is None
+
+    def test_witness_file_choi_computed_once(self, runner, tmp_path, choi_calls):
+        path = write(tmp_path, "c.circuit", DEPOLARIZER)
+        rows = [" ".join("0.0625+0i" if i == j else "0+0i" for j in range(16)) for i in range(16)]
+        witness = write(tmp_path, "w.matrix", "\n".join(rows) + "\n")
+        res = runner.invoke(
+            main, ["protocol", path, "--witness", "file", "--witness-file", witness]
+        )
+        assert res.exit_code == 0
+        assert len(choi_calls) == 1
+
+    def test_near_isometry_runs(self, runner, tmp_path):
+        # Output noise of 1e-7 sits below the Kraus rank tolerance.
+        noisy = append_output_depolarizing(parse_circuit("qubits 1\ngate H 0\n"), 1e-7)
+        path = write(tmp_path, "c.circuit", serialize_circuit(noisy))
+        res = runner.invoke(main, ["protocol", path, "--restarts", "2"])
+        assert res.exit_code == 0
+        assert 0.0 <= json.loads(res.output)["results"]["p_accept"] <= 1e-6
+
+    def test_internal_fault_exit_code(self, runner, tmp_path, monkeypatch):
+        import isolab.protocol as protocol
+
+        real = protocol._parallel_extended_output
+        monkeypatch.setattr(protocol, "_parallel_extended_output", lambda ch, m: 2.0 * real(ch, m))
+        path = write(tmp_path, "c.circuit", DEPOLARIZER)
+        res = runner.invoke(main, ["protocol", path, "--restarts", "2"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, RuntimeError)
 
     def test_shots_deterministic(self, runner, tmp_path):
         path = write(tmp_path, "c.circuit", DEPOLARIZER)

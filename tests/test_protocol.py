@@ -1,15 +1,31 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import circuit_swap_test_probs, random_circuit, random_density, random_pure
+from conftest import (
+    circuit_swap_test_probs,
+    parallel_extended_output_oracle,
+    random_circuit,
+    random_density,
+    random_kraus,
+    random_pure,
+)
 from isolab import (
+    AddAncilla,
+    ChannelGate,
     ChannelHandle,
+    Circuit,
     DensityMatrix,
     PureState,
+    TraceOut,
     WitnessState,
     append_output_depolarizing,
     check_protocol_bounds,
+    choi_of,
+    choi_rank,
     honest_witness,
+    kraus_from_choi,
     maximally_entangled_state,
     parse_circuit,
     run_protocol_exact,
@@ -18,6 +34,7 @@ from isolab import (
     symmetric_witness_family,
     tensor,
 )
+from isolab.protocol import _parallel_extended_output
 
 DEPOLARIZER = "qubits 1\nchannel depolarize 0\n"
 COPY = "qubits 1\nancilla\ngate CNOT 0 1\n"
@@ -135,6 +152,25 @@ class TestProtocolExact:
         with pytest.raises(ValueError, match="dimension mismatch"):
             run_protocol_exact(handle(DEPOLARIZER), WitnessState(DensityMatrix.maximally_mixed(8)))
 
+    def test_small_symmetric_weight(self):
+        # A witness with symmetric weight 1e-9: rounding in the symmetric
+        # projection must not be magnified into an invalid post-state.
+        rng = np.random.default_rng(67)
+        ch = handle(DEPOLARIZER)
+
+        def halves_vector(sign):
+            v = rng.normal(size=16) + 1j * rng.normal(size=16)
+            v = v + sign * v.reshape(4, 4).T.reshape(-1)
+            return v / np.linalg.norm(v)
+
+        anti, sym = halves_vector(-1.0), halves_vector(1.0)
+        eps = 1e-9
+        rho = (1 - eps) * np.outer(anti, anti.conj()) + eps * np.outer(sym, sym.conj())
+        res = run_protocol_exact(ch, WitnessState(DensityMatrix(rho)))
+        p3 = run_protocol_exact(ch, WitnessState(DensityMatrix.from_pure(PureState(sym))))
+        assert res.p_step1_symmetric == pytest.approx(eps, rel=1e-5)
+        assert res.p_accept == pytest.approx(eps * p3.p_step3_antisymmetric_given_step1, abs=1e-12)
+
     def test_fully_antisymmetric_witness_always_rejected(self):
         vec = np.zeros(16, dtype=complex)
         vec[1] = 1 / np.sqrt(2)   # |01> of the two copies
@@ -142,6 +178,99 @@ class TestProtocolExact:
         res = run_protocol_exact(handle(DEPOLARIZER), WitnessState(DensityMatrix.from_pure(PureState(vec))))
         assert res.p_step1_symmetric <= 1e-12
         assert res.p_accept == 0.0
+
+
+def kraus_channel(rng, n_in, shape, rank):
+    """Circuit running a random channel of *rank* Kraus operators on all of
+    its qubits, after adding an ancilla ("grow": d_out = 2 d_in) or before
+    tracing out the last qubit ("shrink": d_out = d_in / 2), with the Kraus
+    operators of the whole circuit derived from those of the gate."""
+    n = n_in + 1 if shape == "grow" else n_in
+    ops = random_kraus(rng, 2 ** n, 2 ** n, rank)
+    mix = ChannelGate("kraus", tuple(range(n)), tuple(ops))
+    if shape == "grow":
+        # The ancilla is the last qubit, so |x> becomes |x>|0> at index 2x.
+        embed = np.eye(2 ** n)[:, ::2]
+        return Circuit(n_in, [AddAncilla(), mix]), [a @ embed for a in ops]
+    # Tracing out the last qubit in outcome m keeps the rows 2y + m.
+    return Circuit(n_in, [mix, TraceOut(n - 1)]), [a[m::2] for a in ops for m in (0, 1)]
+
+
+# (n_in, shape, gate Kraus rank, Kraus rank of the whole channel)
+KRAUS_CASES = [
+    (1, "grow", 1, 1),
+    (2, "grow", 1, 1),
+    (1, "grow", 8, 8),     # full rank: d_in d_out = 8
+    (2, "shrink", 4, 8),   # full rank: d_in d_out = 8
+]
+
+
+class TestParallelExtendedOutput:
+    @pytest.mark.parametrize("n_in,shape,rank,channel_rank", KRAUS_CASES)
+    def test_matches_kron_oracle(self, n_in, shape, rank, channel_rank):
+        rng = np.random.default_rng(70 + n_in + rank)
+        circ, ops = kraus_channel(rng, n_in, shape, rank)
+        ch = ChannelHandle(circ)
+        assert ch.dim_in != ch.dim_out
+        assert choi_rank(choi_of(ch)) == channel_rank
+        d4 = ch.dim_in ** 4
+        arbitrary = rng.normal(size=(d4, d4)) + 1j * rng.normal(size=(d4, d4))
+        for mat in (random_density(rng, d4).matrix, arbitrary):
+            expected = parallel_extended_output_oracle(ops, mat, ch.dim_in)
+            got = _parallel_extended_output(ch, mat)
+            assert np.abs(got - expected).max() <= 1e-12
+
+    # The 2-qubit "grow" case is left out: swap_test validates its 1024-dim
+    # post-states with a full eigendecomposition each.
+    @pytest.mark.parametrize("n_in,shape,rank,channel_rank", KRAUS_CASES[:1] + KRAUS_CASES[2:])
+    def test_probabilities_match_swap_tests_on_oracle(self, n_in, shape, rank, channel_rank):
+        rng = np.random.default_rng(80 + n_in + rank)
+        circ, ops = kraus_channel(rng, n_in, shape, rank)
+        ch = ChannelHandle(circ)
+        d_half = ch.dim_in ** 2
+        witnesses = [
+            random_density(rng, d_half ** 2),
+            honest_witness(ch, random_pure(rng, d_half)).state,
+        ]
+        for w in witnesses:
+            step1 = swap_test(w)
+            sigma = parallel_extended_output_oracle(ops, step1.post_symmetric.matrix, ch.dim_in)
+            p3 = swap_test(sigma).p_antisymmetric
+            res = run_protocol_exact(ch, WitnessState(w))
+            assert res.p_step1_symmetric == pytest.approx(step1.p_symmetric, abs=1e-12)
+            assert res.p_step3_antisymmetric_given_step1 == pytest.approx(p3, abs=1e-12)
+            assert res.p_accept == pytest.approx(step1.p_symmetric * p3, abs=1e-12)
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_circuits_match_kron_oracle(self, seed):
+        # At most 2 input qubits and 3 qubits in flight, so the two-copy
+        # output has dimension (d_out d_in)^2 <= 1024.
+        rng = np.random.default_rng(seed)
+        ch = ChannelHandle(random_circuit(rng, max_in=2, max_total=3))
+        ops = kraus_from_choi(choi_of(ch), rank_tol=0.0).operators
+        mat = random_density(rng, ch.dim_in ** 4).matrix
+        expected = parallel_extended_output_oracle(ops, mat, ch.dim_in)
+        assert np.abs(_parallel_extended_output(ch, mat) - expected).max() <= 1e-12
+
+    def test_trace_fault_is_internal_error(self, monkeypatch):
+        import isolab.protocol as protocol
+
+        real = protocol._parallel_extended_output
+        monkeypatch.setattr(protocol, "_parallel_extended_output", lambda ch, m: 2.0 * real(ch, m))
+        ch = handle(DEPOLARIZER)
+        with pytest.raises(RuntimeError, match="trace"):
+            run_protocol_exact(ch, honest_witness(ch, maximally_entangled_state(2)))
+
+
+class TestNearIsometry:
+    @pytest.mark.parametrize("s", [1e-7, 1e-8, 1e-6])
+    def test_honest_acceptance_closed_form(self, s):
+        # Noise below RANK_TOL: the truncated Kraus set would lose trace.
+        noisy = append_output_depolarizing(parse_circuit("qubits 1\ngate H 0\n"), s)
+        ch = ChannelHandle(noisy)
+        res = run_protocol_exact(ch, honest_witness(ch, maximally_entangled_state(2)))
+        assert res.p_accept == pytest.approx(0.75 * s - 0.375 * s * s, abs=1e-12)
 
 
 class TestProtocolSampled:
@@ -196,6 +325,11 @@ class TestSymmetricFamily:
 
 
 class TestProtocolBounds:
+    def test_choi_computed_once(self, choi_calls):
+        rep = check_protocol_bounds(handle(DEPOLARIZER), n_random_witnesses=2, restarts=2, seed=13)
+        assert rep.completeness.holds
+        assert len(choi_calls) == 1
+
     def test_depolarizer_completeness_equality(self):
         rep = check_protocol_bounds(handle(DEPOLARIZER), n_random_witnesses=4, restarts=6, seed=10)
         assert rep.completeness.holds
