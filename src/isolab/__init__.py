@@ -21,12 +21,10 @@ from .channels import (
     KrausSet,
     NotNearIsometryError,
     analyze_channel,
-    apply_channel,
     apply_extended,
     choi_marginal,
     choi_of,
     choi_rank,
-    classify_nonisometry,
     exact_isometry_test,
     extract_approx_isometry,
     kraus_from_choi,
@@ -44,6 +42,7 @@ from .circuits import (
     apply_circuit,
     apply_circuit_matrix,
     cdepolarize_gate,
+    compile_circuit,
     dephase_gate,
     depolarize_gate,
     gate,
@@ -64,7 +63,6 @@ from .linalg import (
     purity_metrics,
     swap_operator,
     sym_antisym_projectors,
-    tensor,
     top_eigenpair,
     trace_norm,
 )
@@ -86,7 +84,6 @@ from .reduction import (
     VerifierSpec,
     build_instance,
     check_reduction,
-    controlled_depolarize_kraus,
     max_accept_prob,
     parse_verifier,
     witness_injection,

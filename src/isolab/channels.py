@@ -1,11 +1,13 @@
 """Algebraic channel representations and isometry analysis.
 
-A circuit defines a channel; this module converts it to its Choi matrix
-and a minimal Kraus set, tests whether the channel is an exact isometry
-(rank-one Choi matrix with A*A = I), and searches for the most mixing
-pure input of the reference-extended channel. The reference space always
-has the dimension of the input space, which suffices for the rank
-criterion.
+A circuit defines a channel; its handle compiles it once to the
+Stinespring isometry V (see ``circuits.compile_circuit``) and reads
+everything else off V: the Choi matrix, from which the minimal Kraus set
+comes, and every channel output. This module tests whether the channel is
+an exact isometry (rank-one Choi matrix with A*A = I), and searches for the
+most mixing pure input of the reference-extended channel. The reference
+space always has the dimension of the input space, which suffices for the
+rank criterion.
 """
 
 import os
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Circuit, apply_circuit, apply_circuit_matrix, validate_circuit
+from .circuits import Circuit, _apply_isometry, _environment_trace, compile_circuit, validate_circuit
 from .linalg import (
     DensityMatrix,
     PureState,
@@ -58,11 +60,13 @@ def max_total_dim() -> int:
 
 @dataclass(eq=False)
 class ChannelHandle:
-    """A channel given by its circuit, with dimension bookkeeping. The Choi
-    matrix and the minimal Kraus set are computed on first use and kept with
-    the handle, so the circuit must not change afterwards."""
+    """A channel given by its circuit, with dimension bookkeeping. The
+    compiled isometry, the Choi matrix and the minimal Kraus set are
+    computed on first use and kept with the handle, so the circuit must not
+    change afterwards."""
 
     circuit: Circuit
+    _isometry: np.ndarray | None = field(default=None, init=False, repr=False)
     _choi: "ChoiMatrix | None" = field(default=None, init=False, repr=False)
     _kraus: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -89,11 +93,6 @@ class ChannelHandle:
         return f"ChannelHandle({self.dim_in} -> {self.dim_out})"
 
 
-def apply_channel(ch: ChannelHandle, rho) -> DensityMatrix:
-    """Channel action on a state of the input space."""
-    return apply_circuit(ch.circuit, rho)
-
-
 def apply_extended(ch: ChannelHandle, psi) -> DensityMatrix:
     """Output of the channel extended by an identity on a reference space of
     the input dimension, applied to a pure state on input (x) reference."""
@@ -102,8 +101,8 @@ def apply_extended(ch: ChannelHandle, psi) -> DensityMatrix:
         raise ValueError(
             f"dimension mismatch: extended input needs dim {ch.dim_in ** 2}, got {psi.dim}"
         )
-    _check_cap(ch)
-    return apply_circuit(ch.circuit, psi.density(), n_ref=ch.n_in)
+    a = psi.amplitudes[:, None]
+    return DensityMatrix(_apply_isometry(_isometry(ch), a, a, ch.n_in))
 
 
 def _check_cap(ch: ChannelHandle) -> None:
@@ -113,6 +112,15 @@ def _check_cap(ch: ChannelHandle) -> None:
         raise DimensionCapError(
             f"total dimension exceeds the cap of {cap} (set ISOLAB_MAX_DIM to override)"
         )
+
+
+def _isometry(ch: ChannelHandle) -> np.ndarray:
+    """The handle's compiled isometry, shaped (d_out, d_env, d_in). The cap
+    is checked on every call, so over-cap input fails before compiling."""
+    _check_cap(ch)
+    if ch._isometry is None:
+        ch._isometry = compile_circuit(ch.circuit)
+    return ch._isometry
 
 
 @dataclass(eq=False)
@@ -126,12 +134,10 @@ class ChoiMatrix:
 
 
 def choi_of(ch: ChannelHandle) -> ChoiMatrix:
-    """Choi matrix of the channel, computed by running the circuit on half
-    of the maximally entangled state."""
-    _check_cap(ch)
-    phi = maximally_entangled_state(ch.dim_in)
-    out = apply_circuit(ch.circuit, phi.density(), n_ref=ch.n_in)
-    return ChoiMatrix(ch.dim_in, ch.dim_out, out)
+    """Choi matrix of the channel, read off the compiled isometry: with M
+    the isometry as a d_env x (d_out d_in) matrix, it is M^T conj(M) / d_in."""
+    j = _environment_trace(_isometry(ch)) / ch.dim_in
+    return ChoiMatrix(ch.dim_in, ch.dim_out, DensityMatrix(j))
 
 
 @dataclass(eq=False)
@@ -206,15 +212,10 @@ class ExactIsometryResult:
     isometry_operator: np.ndarray | None
 
 
-def exact_isometry_test(
-    ch: ChannelHandle, rank_tol: float = RANK_TOL
-) -> ExactIsometryResult:
-    """Exact isometry criterion: the Choi matrix has rank one and the single
-    Kraus operator A satisfies A*A = I within 1e-9."""
-    if rank_tol == RANK_TOL:
-        ops = _minimal_kraus(ch)
-    else:
-        ops = kraus_from_choi(_cached_choi(ch), rank_tol).operators
+def exact_isometry_test(ch: ChannelHandle) -> ExactIsometryResult:
+    """Exact isometry criterion: the Choi matrix has rank one at RANK_TOL
+    and the single Kraus operator A satisfies A*A = I within 1e-9."""
+    ops = _minimal_kraus(ch)
     rank = len(ops)
     if rank != 1:
         return ExactIsometryResult(rank, False, None)
@@ -364,12 +365,6 @@ def analyze_channel(
     )
 
 
-def classify_nonisometry(
-    ch: ChannelHandle, epsilon: float, restarts: int = 16, seed: int = 0
-) -> str:
-    return analyze_channel(ch, epsilon, restarts, seed).classification
-
-
 # ---------------------------------------------------------------------------
 # Approximate isometry extraction
 # ---------------------------------------------------------------------------
@@ -397,9 +392,10 @@ def probe_epsilon(ch: ChannelHandle, seed: int = 0, n_random: int = 50) -> float
     """Isometry defect measured as one minus the smallest output largest-
     eigenvalue over the finite probe family; a lower bound on the true
     worst-case defect."""
+    iso = _isometry(ch)
     worst = 1.0
     for _, v in _probe_family(ch, seed, n_random):
-        out = apply_channel(ch, DensityMatrix.from_pure(v))
+        out = DensityMatrix(_apply_isometry(iso, v[:, None], v[:, None]))
         worst = min(worst, operator_norm(out.matrix))
     return max(0.0, 1.0 - worst)
 
@@ -428,9 +424,10 @@ def extract_approx_isometry(
     family, so they lower-bound the true worst case.
     """
     d_in = ch.dim_in
+    iso = _isometry(ch)
     basis_states = _basis_probe_states(d_in)
     basis_out = [
-        apply_channel(ch, DensityMatrix.from_pure(v)).matrix for v in basis_states
+        DensityMatrix(_apply_isometry(iso, v[:, None], v[:, None])).matrix for v in basis_states
     ]
     norms = [operator_norm(m) for m in basis_out]
     # The extended output on the maximally entangled state must also stay
@@ -448,9 +445,7 @@ def extract_approx_isometry(
     columns = [top_eigenpair(m)[1] for m in basis_out]
     phases = [1.0 + 0.0j]
     for i in range(1, d_in):
-        unit = np.zeros((d_in, d_in), dtype=complex)
-        unit[0, i] = 1.0
-        x = apply_circuit_matrix(ch.circuit, unit)
+        x = _apply_isometry(iso, basis_states[0][:, None], basis_states[i][:, None])
         u, _, vh = np.linalg.svd(x)
         w = np.vdot(columns[0], u[:, 0]) * np.vdot(vh[0].conj(), columns[i])
         phases.append(np.conj(w) / abs(w) if abs(w) > 1e-12 else 1.0 + 0.0j)
@@ -460,7 +455,7 @@ def extract_approx_isometry(
     worst_opnorm = 1.0
     for label, v in _probe_family(ch, seed, n_random):
         proj = np.outer(v, v.conj())
-        out = apply_circuit_matrix(ch.circuit, proj)
+        out = _apply_isometry(iso, v[:, None], v[:, None])
         worst_opnorm = min(worst_opnorm, operator_norm(out))
         dist = trace_norm(out - a @ proj @ a.conj().T)
         dists[label] = max(dists[label], dist)

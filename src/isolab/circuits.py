@@ -3,7 +3,8 @@
 A circuit is an ordered list of gates acting on a register of qubits:
 unitary gates, a gate that appends an ancilla qubit in |0>, a gate that
 traces a qubit out, and named channel gates given by Kraus operators.
-Applying a circuit to a density matrix defines a quantum channel.
+A circuit defines a quantum channel, and is compiled once to the channel's
+Stinespring isometry, from which its action is read (see Execution).
 
 Qubit indices are stable labels: ``ancilla`` appends a fresh |0> qubit at
 the highest index, and ``traceout`` removes one qubit and shifts higher
@@ -154,25 +155,21 @@ class TraceOut:
 class ChannelGate:
     name: str
     targets: tuple[int, ...]
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray  # the operators stacked as (r, 2^k, 2^k)
     line: int = field(default=0, repr=False)
 
     def __post_init__(self):
         self.targets = tuple(int(t) for t in self.targets)
-        ops = []
-        for k in self.kraus:
-            m = np.array(k, dtype=complex)
-            m.setflags(write=False)
-            ops.append(m)
-        self.kraus = tuple(ops)
+        m = np.array(self.kraus, dtype=complex)
+        m.setflags(write=False)
+        self.kraus = m
 
     def __eq__(self, other):
         return (
             isinstance(other, ChannelGate)
             and self.name == other.name
             and self.targets == other.targets
-            and len(self.kraus) == len(other.kraus)
-            and all(np.array_equal(a, b) for a, b in zip(self.kraus, other.kraus))
+            and np.array_equal(self.kraus, other.kraus)
         )
 
 
@@ -419,7 +416,7 @@ def validate_circuit(circuit: Circuit) -> None:
             _check_targets(g.targets, count, line)
         elif isinstance(g, ChannelGate):
             dim = 2 ** len(g.targets)
-            if not g.kraus:
+            if len(g.kraus) == 0:
                 raise CircuitParseError(line, "channel gate has no Kraus operators")
             acc = np.zeros((dim, dim), dtype=complex)
             for k in g.kraus:
@@ -475,68 +472,108 @@ def serialize_circuit(circuit: Circuit) -> str:
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
+#
+# Every circuit is compiled once to a Stinespring isometry V, stored as an
+# array of shape (d_out, d_env, d_in), whose channel is
+# X -> sum_e V[:, e, :] X V[:, e, :]^*. Trace-outs and channel gates grow the
+# environment; everything else reads the channel off V.
 
-_KET0BRA0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-
-
-def _contract(tensor_in: np.ndarray, op_t: np.ndarray, positions: list[int], total: int):
-    k = len(positions)
-    out = np.tensordot(op_t, tensor_in, axes=(list(range(k, 2 * k)), positions))
-    order = positions + [a for a in range(total) if a not in positions]
-    return np.transpose(out, np.argsort(order))
-
-
-def _apply_unitary_mat(rho: np.ndarray, u: np.ndarray, targets, n: int) -> np.ndarray:
+def _apply_stacked(w: np.ndarray, ops: np.ndarray, targets, n: int) -> np.ndarray:
+    """Contract the stacked operators *ops*, shaped (r, 2^k, 2^k), into the
+    target qubits of *w*, shaped (d_env, 2^n, d_in). The operator index
+    joins the environment as its last factor: (d_env * r, 2^n, d_in)."""
     k = len(targets)
-    t = rho.reshape([2] * (2 * n))
-    op = u.reshape([2] * (2 * k))
-    t = _contract(t, op, list(targets), 2 * n)
-    t = _contract(t, op.conj(), [n + q for q in targets], 2 * n)
-    return t.reshape(2 ** n, 2 ** n)
+    r = ops.shape[0]
+    d_env, _, d_in = w.shape
+    t = w.reshape((d_env,) + (2,) * n + (d_in,))
+    out = np.tensordot(
+        ops.reshape((r,) + (2,) * (2 * k)), t, axes=(list(range(k + 1, 2 * k + 1)), [1 + q for q in targets])
+    )
+    # Axes of out: r, the targets, d_env, the other qubits in order, d_in.
+    rest = [q for q in range(n) if q not in targets]
+    perm = [1 + targets.index(q) if q in targets else k + 2 + rest.index(q) for q in range(n)]
+    return out.transpose([k + 1, 0] + perm + [n + 2]).reshape(d_env * r, 2 ** n, d_in)
 
 
-def _apply_unitary_vec(psi: np.ndarray, u: np.ndarray, targets, n: int) -> np.ndarray:
-    k = len(targets)
-    t = psi.reshape([2] * n)
-    op = u.reshape([2] * (2 * k))
-    out = np.tensordot(op, t, axes=(list(range(k, 2 * k)), list(targets)))
-    order = list(targets) + [a for a in range(n) if a not in targets]
-    return np.transpose(out, np.argsort(order)).reshape(2 ** n)
+def _compress(w: np.ndarray) -> np.ndarray:
+    """Shrink the environment of *w*, shaped (d_env, d_sys, d_in), to
+    d_sys * d_in by a thin QR when it is larger; that bounds the rank of the
+    channel, so the channel is unchanged."""
+    d_env, d_sys, d_in = w.shape
+    if d_env <= d_sys * d_in:
+        return w
+    return np.linalg.qr(w.reshape(d_env, d_sys * d_in), mode="r").reshape(-1, d_sys, d_in)
 
 
-def _apply_kraus_mat(rho: np.ndarray, kraus, targets, n: int) -> np.ndarray:
-    acc = np.zeros_like(rho)
-    k = len(targets)
-    t = rho.reshape([2] * (2 * n))
-    col_positions = [n + q for q in targets]
-    for a in kraus:
-        op = a.reshape([2] * (2 * k))
-        term = _contract(t, op, list(targets), 2 * n)
-        term = _contract(term, op.conj(), col_positions, 2 * n)
-        acc += term.reshape(2 ** n, 2 ** n)
-    return acc
-
-
-def _trace_out_qubit(rho: np.ndarray, target: int, n: int) -> np.ndarray:
-    t = rho.reshape([2] * (2 * n))
-    t = np.trace(t, axis1=target, axis2=n + target)
-    return t.reshape(2 ** (n - 1), 2 ** (n - 1))
-
-
-def _permute_qubit_slots(rho: np.ndarray, perm: list[int], n: int) -> np.ndarray:
-    # perm[new_slot] = old_slot
-    t = rho.reshape([2] * (2 * n))
-    axes = list(perm) + [n + p for p in perm]
-    return np.transpose(t, axes).reshape(2 ** n, 2 ** n)
-
-
-def _insert_ancilla(rho: np.ndarray, n: int, position: int) -> np.ndarray:
-    out = np.kron(rho, _KET0BRA0)
-    n2 = n + 1
-    if position != n2 - 1:
-        perm = list(range(position)) + [n2 - 1] + list(range(position, n2 - 1))
-        out = _permute_qubit_slots(out, perm, n2)
+def _apply_channel(w: np.ndarray, kraus: np.ndarray, targets, n: int) -> np.ndarray:
+    """Contract a channel gate's stacked Kraus tensor into the environment
+    of *w* in chunks of d_sys * d_in // d_env operators, compressing after
+    each chunk, so the working tensor never holds more than twice the
+    compressed environment."""
+    d_env, d_sys, d_in = w.shape
+    step = max(1, d_sys * d_in // d_env)
+    out = _apply_stacked(w, kraus[:step], targets, n)
+    for s in range(step, len(kraus), step):
+        out = np.concatenate([out, _apply_stacked(w, kraus[s:s + step], targets, n)])
+        out = _compress(out)
     return out
+
+
+def compile_circuit(circuit: Circuit) -> np.ndarray:
+    """Stinespring isometry V of the circuit's channel, shaped
+    (d_out, d_env, d_in), from simulating all d_in basis columns at once.
+
+    A unitary gate is one contraction on the system axes, ``ancilla``
+    appends a |0> axis, ``traceout`` moves the qubit into the environment,
+    and a channel gate contracts its stacked Kraus tensor into the
+    environment, a chunk of operators at a time. Whenever d_env exceeds
+    d_sys * d_in, which bounds the rank of the channel so far, a thin QR
+    compresses the environment to that size.
+    """
+    n = circuit.input_qubits
+    d_in = 2 ** n
+    # V is built with the environment axis first, (d_env, d_sys, d_in), so
+    # that compression reshapes it without a copy.
+    w = np.eye(d_in, dtype=complex)[None]
+    for g in circuit.gates:
+        if isinstance(g, UnitaryGate):
+            w = _apply_stacked(w, g.matrix[None], g.targets, n)
+        elif isinstance(g, AddAncilla):
+            w = np.stack([w, np.zeros_like(w)], axis=2).reshape(w.shape[0], -1, d_in)
+            n += 1
+        elif isinstance(g, TraceOut):
+            t = np.moveaxis(w.reshape((w.shape[0],) + (2,) * n + (d_in,)), 1 + g.target, 1)
+            n -= 1
+            w = t.reshape(-1, 2 ** n, d_in)
+        elif isinstance(g, ChannelGate):
+            w = _apply_channel(w, g.kraus, g.targets, n)
+        else:
+            raise ValueError(f"unknown gate object {type(g).__name__}")
+        w = _compress(w)
+    return np.ascontiguousarray(w.transpose(1, 0, 2))
+
+
+def _environment_trace(v: np.ndarray) -> np.ndarray:
+    """sum_e V[o, e, i] conj(V[o', e, i']) as a (d_out d_in)-square matrix
+    with rows (o, i) and columns (o', i'): d_in times the Choi matrix."""
+    d_out, d_env, d_in = v.shape
+    m = v.transpose(1, 0, 2).reshape(d_env, d_out * d_in)
+    return m.T @ m.conj()
+
+
+def _apply_isometry(v: np.ndarray, left: np.ndarray, right: np.ndarray, n_ref: int = 0) -> np.ndarray:
+    """sum_e (V_e (x) I) left right^* (V_e (x) I)^* for V_e = v[:, e, :],
+    with the identity on *n_ref* trailing reference qubits. *left* and
+    *right* have d_in 2^n_ref rows and k columns each, so a rank-one input
+    such as a pure state costs one column."""
+    d_out, d_env, d_in = v.shape
+    d_ref = 2 ** n_ref
+
+    def lift(x):
+        y = v.reshape(d_out * d_env, d_in) @ x.reshape(d_in, -1)
+        return y.reshape(d_out, d_env, d_ref, -1).transpose(0, 2, 1, 3).reshape(d_out * d_ref, -1)
+
+    return lift(left) @ lift(right).conj().T
 
 
 def apply_circuit_matrix(circuit: Circuit, mat: np.ndarray, n_ref: int = 0) -> np.ndarray:
@@ -547,28 +584,12 @@ def apply_circuit_matrix(circuit: Circuit, mat: np.ndarray, n_ref: int = 0) -> n
     gate indices stay valid.
     """
     mat = np.asarray(mat, dtype=complex)
-    c = circuit.input_qubits
-    n = c + n_ref
+    n = circuit.input_qubits + n_ref
     if mat.shape != (2 ** n, 2 ** n):
         raise ValueError(
             f"dimension mismatch: expected {2 ** n}x{2 ** n} input, got {mat.shape}"
         )
-    for g in circuit.gates:
-        if isinstance(g, UnitaryGate):
-            mat = _apply_unitary_mat(mat, g.matrix, g.targets, n)
-        elif isinstance(g, AddAncilla):
-            mat = _insert_ancilla(mat, n, c)
-            n += 1
-            c += 1
-        elif isinstance(g, TraceOut):
-            mat = _trace_out_qubit(mat, g.target, n)
-            n -= 1
-            c -= 1
-        elif isinstance(g, ChannelGate):
-            mat = _apply_kraus_mat(mat, g.kraus, g.targets, n)
-        else:
-            raise ValueError(f"unknown gate object {type(g).__name__}")
-    return mat
+    return _apply_isometry(compile_circuit(circuit), mat, np.eye(2 ** n, dtype=complex), n_ref)
 
 
 def apply_circuit(circuit: Circuit, rho, n_ref: int = 0) -> DensityMatrix:
@@ -579,26 +600,15 @@ def apply_circuit(circuit: Circuit, rho, n_ref: int = 0) -> DensityMatrix:
 
 
 def isometry_matrix(circuit: Circuit) -> np.ndarray:
-    """Explicit matrix of a circuit built only from unitary and ancilla
-    gates, obtained by simulating the computational basis."""
-    for g in circuit.gates:
-        if isinstance(g, (TraceOut, ChannelGate)):
-            raise ValueError("circuit is not an isometry: contains trace-out or channel gates")
-    n_in = circuit.input_qubits
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    cols = []
-    for b in range(2 ** n_in):
-        v = np.zeros(2 ** n_in, dtype=complex)
-        v[b] = 1.0
-        n = n_in
-        for g in circuit.gates:
-            if isinstance(g, UnitaryGate):
-                v = _apply_unitary_vec(v, g.matrix, g.targets, n)
-            else:
-                v = np.kron(v, e0)
-                n += 1
-        cols.append(v)
-    return np.stack(cols, axis=1)
+    """Explicit d_out x d_in matrix of a circuit whose compiled isometry has
+    a one-dimensional environment."""
+    v = compile_circuit(circuit)
+    if v.shape[1] != 1:
+        raise ValueError(
+            "circuit is not an isometry: trace-out or channel gates leave an "
+            f"environment of dimension {v.shape[1]}"
+        )
+    return v[:, 0, :]
 
 
 def append_output_depolarizing(circuit: Circuit, strength: float) -> Circuit:

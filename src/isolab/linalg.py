@@ -40,11 +40,6 @@ def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
     return float(np.abs(m - m.conj().T).max()) <= tol
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product with factor 0 on the left."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def partial_trace(m, dims, keep) -> np.ndarray:
     """Trace out all tensor factors of *m* except those listed in *keep*.
 

@@ -27,7 +27,6 @@ import numpy as np
 from .channels import (
     ChannelHandle,
     DimensionCapError,
-    KrausSet,
     apply_extended,
     min_output_opnorm,
 )
@@ -38,7 +37,6 @@ from .circuits import (
     CircuitParseError,
     TraceOut,
     cdepolarize_gate,
-    controlled_depolarizing_kraus,
     dephase_gate,
     gate,
     isometry_matrix,
@@ -132,14 +130,6 @@ def parse_verifier(source: str) -> VerifierSpec:
         measured_qubit=measure[0],
         garbage_qubits=tuple(headers["garbage"][1]),
     )
-
-
-def controlled_depolarize_kraus(target_dim: int) -> KrausSet:
-    """Kraus set of the qubit-controlled uniform mixing channel on a target
-    of dimension *target_dim*: {|0><0| (x) I} plus {|1><1| (x) |i><j|/sqrt(d)}."""
-    if target_dim < 1:
-        raise ValueError("target dimension must be at least 1")
-    return KrausSet(controlled_depolarizing_kraus(target_dim))
 
 
 def witness_injection(v: VerifierSpec) -> np.ndarray:

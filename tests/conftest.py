@@ -5,19 +5,28 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from isolab import (
     AddAncilla,
+    ChannelGate,
     Circuit,
     DensityMatrix,
     PureState,
     TraceOut,
+    UnitaryGate,
     dephase_gate,
     depolarize_gate,
     gate,
+    maximally_entangled_state,
     swap_operator,
     unitary_gate,
 )
+
+# Every @given test draws the same examples on every run and keeps no
+# example database, so the suite is deterministic.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture
@@ -218,6 +227,124 @@ def brute_force_min_opnorm(kraus_ops, d_in, n_samples=100_000, seed=1234, batch=
         best = min(best, float(top.min()))
         done += m
     return best
+
+
+# Density-matrix executor: applies a circuit gate by gate to a matrix on
+# 2^(2 (n + n_ref)) entries. The oracle of the compiled isometry.
+
+_KET0BRA0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+
+
+def _contract(tensor_in, op_t, positions, total):
+    k = len(positions)
+    out = np.tensordot(op_t, tensor_in, axes=(list(range(k, 2 * k)), positions))
+    order = positions + [a for a in range(total) if a not in positions]
+    return np.transpose(out, np.argsort(order))
+
+
+def _apply_unitary_mat(rho, u, targets, n):
+    k = len(targets)
+    t = rho.reshape([2] * (2 * n))
+    op = u.reshape([2] * (2 * k))
+    t = _contract(t, op, list(targets), 2 * n)
+    t = _contract(t, op.conj(), [n + q for q in targets], 2 * n)
+    return t.reshape(2 ** n, 2 ** n)
+
+
+def _apply_unitary_vec(psi, u, targets, n):
+    k = len(targets)
+    t = psi.reshape([2] * n)
+    op = u.reshape([2] * (2 * k))
+    out = np.tensordot(op, t, axes=(list(range(k, 2 * k)), list(targets)))
+    order = list(targets) + [a for a in range(n) if a not in targets]
+    return np.transpose(out, np.argsort(order)).reshape(2 ** n)
+
+
+def _apply_kraus_mat(rho, kraus, targets, n):
+    acc = np.zeros_like(rho)
+    k = len(targets)
+    t = rho.reshape([2] * (2 * n))
+    col_positions = [n + q for q in targets]
+    for a in kraus:
+        op = a.reshape([2] * (2 * k))
+        term = _contract(t, op, list(targets), 2 * n)
+        term = _contract(term, op.conj(), col_positions, 2 * n)
+        acc += term.reshape(2 ** n, 2 ** n)
+    return acc
+
+
+def _trace_out_qubit(rho, target, n):
+    t = rho.reshape([2] * (2 * n))
+    t = np.trace(t, axis1=target, axis2=n + target)
+    return t.reshape(2 ** (n - 1), 2 ** (n - 1))
+
+
+def _permute_qubit_slots(rho, perm, n):
+    # perm[new_slot] = old_slot
+    t = rho.reshape([2] * (2 * n))
+    axes = list(perm) + [n + p for p in perm]
+    return np.transpose(t, axes).reshape(2 ** n, 2 ** n)
+
+
+def _insert_ancilla(rho, n, position):
+    out = np.kron(rho, _KET0BRA0)
+    n2 = n + 1
+    if position != n2 - 1:
+        perm = list(range(position)) + [n2 - 1] + list(range(position, n2 - 1))
+        out = _permute_qubit_slots(out, perm, n2)
+    return out
+
+
+def density_oracle(circuit, mat, n_ref=0):
+    """Linear action of the circuit's channel on *mat*, with *n_ref*
+    trailing reference qubits untouched; ancillas go in between the
+    circuit's qubits and the reference block."""
+    mat = np.asarray(mat, dtype=complex)
+    c = circuit.input_qubits
+    n = c + n_ref
+    assert mat.shape == (2 ** n, 2 ** n)
+    for g in circuit.gates:
+        if isinstance(g, UnitaryGate):
+            mat = _apply_unitary_mat(mat, g.matrix, g.targets, n)
+        elif isinstance(g, AddAncilla):
+            mat = _insert_ancilla(mat, n, c)
+            n += 1
+            c += 1
+        elif isinstance(g, TraceOut):
+            mat = _trace_out_qubit(mat, g.target, n)
+            n -= 1
+            c -= 1
+        elif isinstance(g, ChannelGate):
+            mat = _apply_kraus_mat(mat, g.kraus, g.targets, n)
+        else:
+            raise ValueError(f"unknown gate object {type(g).__name__}")
+    return mat
+
+
+def choi_oracle(circuit):
+    """Choi matrix from running the circuit on half of the maximally
+    entangled state."""
+    n = circuit.input_qubits
+    phi = maximally_entangled_state(2 ** n).projector()
+    return density_oracle(circuit, phi, n_ref=n)
+
+
+def isometry_oracle(circuit):
+    """Matrix of a unitary-and-ancilla circuit, one basis column at a time."""
+    n_in = circuit.input_qubits
+    cols = []
+    for b in range(2 ** n_in):
+        v = np.zeros(2 ** n_in, dtype=complex)
+        v[b] = 1.0
+        n = n_in
+        for g in circuit.gates:
+            if isinstance(g, UnitaryGate):
+                v = _apply_unitary_vec(v, g.matrix, g.targets, n)
+            else:
+                v = np.kron(v, [1.0, 0.0])
+                n += 1
+        cols.append(v)
+    return np.stack(cols, axis=1)
 
 
 def circuit_swap_test_probs(rho, d):

@@ -42,7 +42,6 @@ from isolab import (
     run_protocol_sampled,
     swap_test,
     symmetric_witness_family,
-    tensor,
     trace_norm,
 )
 from isolab.cli import main as cli_main
@@ -123,7 +122,7 @@ def test_swap_test_purity_formula_and_circuit_realization():
     for _ in range(200):
         d = int(rng.integers(2, 5))
         sigma = random_density(rng, d)
-        res = swap_test(DensityMatrix(tensor(sigma, sigma)))
+        res = swap_test(DensityMatrix(np.kron(sigma.matrix, sigma.matrix)))
         expected = 0.5 - 0.5 * float(np.real(np.trace(sigma.matrix @ sigma.matrix)))
         assert abs(res.p_antisymmetric - expected) <= 1e-10
     for d in (2, 3, 4):

@@ -14,14 +14,14 @@ from isolab import (
     ChannelHandle,
     DimensionCapError,
     NotNearIsometryError,
+    analyze_channel,
     append_output_depolarizing,
-    apply_channel,
+    apply_circuit,
     apply_circuit_matrix,
     apply_extended,
     choi_marginal,
     choi_of,
     choi_rank,
-    classify_nonisometry,
     exact_isometry_test,
     extract_approx_isometry,
     isometry_matrix,
@@ -30,6 +30,7 @@ from isolab import (
     min_output_opnorm,
     operator_norm,
     parse_circuit,
+    probe_epsilon,
     purity_metrics,
     trace_norm,
 )
@@ -86,6 +87,28 @@ class TestChoi:
         monkeypatch.setenv("ISOLAB_MAX_DIM", raw)
         with pytest.raises(ValueError, match="ISOLAB_MAX_DIM"):
             choi_of(handle(IDENTITY))
+
+    def test_dimension_cap_before_compiling(self, monkeypatch):
+        import isolab.channels as channels
+
+        def refuse(circuit):
+            raise AssertionError("compiled an over-cap circuit")
+
+        monkeypatch.setattr(channels, "compile_circuit", refuse)
+        with pytest.raises(DimensionCapError):
+            choi_of(handle("qubits 13\n"))
+
+    def test_isometry_compiled_once_per_handle(self, monkeypatch):
+        import isolab.channels as channels
+
+        calls = []
+        real = channels.compile_circuit
+        monkeypatch.setattr(channels, "compile_circuit", lambda c: calls.append(c) or real(c))
+        ch = handle(DEPHASE)
+        choi_of(ch)
+        apply_extended(ch, maximally_entangled_state(2))
+        probe_epsilon(ch, n_random=2)
+        assert len(calls) == 1
 
 
 class TestKraus:
@@ -256,17 +279,17 @@ class TestSearchEvaluation:
 
 class TestClassification:
     def test_depolarizer_yes(self):
-        assert classify_nonisometry(handle(DEPOLARIZER), 0.3, restarts=4, seed=0) == "yes-instance"
+        assert analyze_channel(handle(DEPOLARIZER), 0.3, restarts=4, seed=0).classification == "yes-instance"
 
     def test_identity_no(self):
-        assert classify_nonisometry(handle(IDENTITY), 0.3, restarts=2, seed=0) == "no-instance"
+        assert analyze_channel(handle(IDENTITY), 0.3, restarts=2, seed=0).classification == "no-instance"
 
     def test_reset_indeterminate(self):
-        assert classify_nonisometry(handle(RESET), 0.3, restarts=4, seed=0) == "indeterminate"
+        assert analyze_channel(handle(RESET), 0.3, restarts=4, seed=0).classification == "indeterminate"
 
     def test_epsilon_range(self):
         with pytest.raises(ValueError, match="epsilon"):
-            classify_nonisometry(handle(IDENTITY), 0.5)
+            analyze_channel(handle(IDENTITY), 0.5)
 
     def test_choi_computed_once(self, monkeypatch):
         import isolab.channels as channels
@@ -274,7 +297,7 @@ class TestClassification:
         calls = []
         real = channels.choi_of
         monkeypatch.setattr(channels, "choi_of", lambda ch: calls.append(ch) or real(ch))
-        assert classify_nonisometry(handle(RESET), 0.3, restarts=2, seed=0) == "indeterminate"
+        assert analyze_channel(handle(RESET), 0.3, restarts=2, seed=0).classification == "indeterminate"
         assert len(calls) == 1
 
 
@@ -330,7 +353,7 @@ class TestExtractApproxIsometry:
         rng = np.random.default_rng(1234)
         for _ in range(10):
             rho = random_density(rng, 2)
-            out = apply_channel(ch, rho)
+            out = apply_circuit(ch.circuit, rho)
             assert trace_norm(out.matrix - a @ rho.matrix @ a.conj().T) < 1e-8
 
     def test_depolarizer_rejected(self):

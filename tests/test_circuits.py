@@ -1,18 +1,37 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_circuit, random_density, random_pure, random_unitary
+from conftest import (
+    choi_oracle,
+    density_oracle,
+    isometry_oracle,
+    random_circuit,
+    random_density,
+    random_pure,
+    random_unitary,
+)
 from isolab import (
+    AddAncilla,
     ChannelGate,
+    ChannelHandle,
     Circuit,
     CircuitParseError,
     DensityMatrix,
     PureState,
+    TraceOut,
     append_output_depolarizing,
     apply_circuit,
     apply_circuit_matrix,
+    cdepolarize_gate,
+    choi_of,
+    compile_circuit,
     dephase_gate,
     depolarize_gate,
+    gate,
     isometry_matrix,
     parse_circuit,
     purity_metrics,
@@ -243,3 +262,107 @@ class TestOutputDepolarizing:
     def test_emitted_gates_round_trip(self):
         noisy = append_output_depolarizing(parse_circuit("qubits 1\ngate H 0\n"), 0.25)
         assert parse_circuit(serialize_circuit(noisy)) == noisy
+
+
+@st.composite
+def mixed_circuits(draw, max_in=2, max_total=4, isometry_only=False):
+    """Circuits of builtin and umatrix gates, ancillas and, unless
+    *isometry_only*, trace-outs and dephase, depolarize and cdepolarize
+    gates, with at most *max_total* qubits in flight."""
+    n_in = draw(st.integers(1, max_in))
+    count = n_in
+    gates = []
+    for _ in range(draw(st.integers(1, 6))):
+        kinds = ["builtin", "umatrix"]
+        if count < max_total:
+            kinds.append("ancilla")
+        if not isometry_only:
+            kinds += ["dephase", "depolarize"]
+            if count > 1:
+                kinds += ["traceout", "cdepolarize"]
+        kind = draw(st.sampled_from(kinds))
+        qubits = draw(st.permutations(range(count)))
+        k = 2 if count > 1 and draw(st.booleans()) else 1
+        if kind == "builtin":
+            name = draw(st.sampled_from(["CNOT", "CZ", "SWAP"] if k == 2 else ["H", "S", "T", "X", "Y"]))
+            gates.append(gate(name, *qubits[:k]))
+        elif kind == "umatrix":
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            gates.append(unitary_gate(random_unitary(rng, 2 ** k), *qubits[:k]))
+        elif kind == "ancilla":
+            gates.append(AddAncilla())
+            count += 1
+        elif kind == "traceout":
+            gates.append(TraceOut(qubits[0]))
+            count -= 1
+        elif kind == "dephase":
+            gates.append(dephase_gate(qubits[0]))
+        elif kind == "depolarize":
+            gates.append(depolarize_gate(*qubits[:k]))
+        else:
+            gates.append(cdepolarize_gate(qubits[0], *qubits[1:1 + min(k, count - 1)]))
+    return Circuit(n_in, gates)
+
+
+class TestCompiledIsometry:
+    """The compiled isometry against the density-matrix executor of the
+    conftest oracle."""
+
+    @settings(max_examples=60)
+    @given(circuit=mixed_circuits(), seed=st.integers(0, 2 ** 32 - 1), with_ref=st.booleans())
+    def test_apply_matches_density_oracle(self, circuit, seed, with_ref):
+        n_ref = circuit.input_qubits if with_ref else 0
+        d = 2 ** (circuit.input_qubits + n_ref)
+        rng = np.random.default_rng(seed)
+        mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        got = apply_circuit_matrix(circuit, mat, n_ref)
+        assert np.abs(got - density_oracle(circuit, mat, n_ref)).max() <= 1e-12
+
+    @settings(max_examples=60)
+    @given(circuit=mixed_circuits())
+    def test_choi_matches_density_oracle(self, circuit):
+        got = choi_of(ChannelHandle(circuit)).matrix.matrix
+        assert np.abs(got - choi_oracle(circuit)).max() <= 1e-12
+
+    @settings(max_examples=40)
+    @given(circuit=mixed_circuits(max_in=3, isometry_only=True))
+    def test_isometry_matrix_matches_vector_oracle(self, circuit):
+        v = isometry_matrix(circuit)
+        assert v.shape == (2 ** circuit.output_qubits, 2 ** circuit.input_qubits)
+        assert np.abs(v - isometry_oracle(circuit)).max() <= 1e-12
+
+    def test_environment_compressed(self):
+        # Uncompressed, three depolarizers leave an environment of 4^3 = 64;
+        # the bound d_sys d_in is 4.
+        circuit = parse_circuit("qubits 1\n" + "channel depolarize 0\n" * 3)
+        v = compile_circuit(circuit)
+        assert v.shape == (2, 4, 2)
+        m = v.reshape(-1, 2)
+        assert np.abs(m.conj().T @ m - np.eye(2)).max() <= 1e-12
+        got = choi_of(ChannelHandle(circuit)).matrix.matrix
+        assert np.abs(got - choi_oracle(circuit)).max() <= 1e-12
+        assert np.abs(got - np.eye(4) / 4).max() <= 1e-12
+
+    def test_saturated_environment_applied_in_chunks(self):
+        # The environment reaches its bound d_sys d_in = 256 after the
+        # second depolarizer; applied whole, each later one would hold 16
+        # times that. In chunks with a compression after each, the traced
+        # peak stays within a few Choi-sized arrays.
+        circuit = parse_circuit("qubits 4\n" + "channel depolarize 0 1\nchannel depolarize 2 3\n" * 2)
+        choi_bytes = 256 ** 2 * 16
+        tracemalloc.start()
+        try:
+            v = compile_circuit(circuit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.shape == (16, 256, 16)
+        assert peak <= 10 * choi_bytes
+        m = v.reshape(-1, 16)
+        assert np.abs(m.conj().T @ m - np.eye(16)).max() <= 1e-12
+        got = choi_of(ChannelHandle(circuit)).matrix.matrix
+        assert np.abs(got - choi_oracle(circuit)).max() <= 1e-12
+
+    def test_traceout_moves_qubit_to_environment(self):
+        v = compile_circuit(parse_circuit("qubits 2\ntraceout 0\n"))
+        assert v.shape == (2, 2, 4)

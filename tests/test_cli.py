@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from isolab import append_output_depolarizing, parse_circuit, serialize_circuit, validate_circuit
+from conftest import density_oracle
+from isolab import KrausSet, append_output_depolarizing, parse_circuit, serialize_circuit, validate_circuit
 from isolab.cli import main
 
 DEPOLARIZER = "qubits 1\nchannel depolarize 0\n"
@@ -111,6 +112,34 @@ class TestChoiKraus:
         assert r["completeness_defect"] < 1e-8
         op = np.array([[complex(re, im) for re, im in row] for row in r["operators"][0]])
         assert op.shape == (2, 2)
+
+
+    @pytest.mark.parametrize("strength", [1e-8, 0.3])
+    def test_kraus_residual_is_matrix_unit_error(self, runner, tmp_path, strength):
+        # Output noise of 1e-8 lies below the Kraus rank tolerance, so the
+        # truncated Kraus set leaves a residual of the order of the noise.
+        circuit = append_output_depolarizing(parse_circuit("qubits 2\ngate H 0\ngate CNOT 0 1\n"), strength)
+        path = write(tmp_path, "c.circuit", serialize_circuit(circuit))
+        r = json.loads(runner.invoke(main, ["kraus", path]).output)["results"]
+        ks = KrausSet([np.array([[complex(re, im) for re, im in row] for row in op]) for op in r["operators"]])
+        loop = 0.0
+        for i in range(4):
+            for j in range(4):
+                unit = np.zeros((4, 4), dtype=complex)
+                unit[i, j] = 1.0
+                loop = max(loop, float(np.abs(ks.apply(unit) - density_oracle(circuit, unit)).max()))
+        assert r["reconstruction_residual"] == pytest.approx(loop, abs=1e-14)
+        assert (loop > 1e-9) == (strength < 1e-7)
+
+    def test_linalg_error_is_internal(self, runner, tmp_path, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", diverge)
+        path = write(tmp_path, "c.circuit", DEPOLARIZER)
+        res = runner.invoke(main, ["choi", path])
+        assert res.exit_code == 1
+        assert res.output == "error: linear algebra failed: Eigenvalues did not converge\n"
 
 
 class TestProtocol:

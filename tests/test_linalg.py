@@ -19,30 +19,29 @@ from isolab import (
     purity_metrics,
     swap_operator,
     sym_antisym_projectors,
-    tensor,
     trace_norm,
 )
 
 
 class TestTensor:
     def test_identity(self):
-        assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_diagonal(self):
-        out = tensor(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
+        out = np.kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
         assert np.allclose(out, np.diag([3.0, 4.0, 6.0, 8.0]))
 
     def test_matches_index_oracle(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.abs(tensor(a, b) - tensor_oracle(a, b)).max() < 1e-13
+        assert np.abs(np.kron(a, b) - tensor_oracle(a, b)).max() < 1e-13
 
     def test_tensor_then_trace_returns_factor(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        out = partial_trace(tensor(a, b), [2, 2], keep=[0])
+        out = partial_trace(np.kron(a, b), [2, 2], keep=[0])
         assert np.abs(out - a * np.trace(b)).max() < 1e-12
 
 
@@ -57,7 +56,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(7)
         rho = random_density(rng, 2).matrix
         sigma = random_density(rng, 3).matrix
-        out = partial_trace(tensor(rho, sigma), [2, 3], keep=[0])
+        out = partial_trace(np.kron(rho, sigma), [2, 3], keep=[0])
         assert np.abs(out - rho).max() < 1e-12
 
     def test_three_factor_against_oracle(self):

@@ -7,11 +7,11 @@ from isolab import (
     CircuitParseError,
     Circuit,
     DensityMatrix,
-    apply_channel,
+    KrausSet,
+    apply_circuit,
     apply_extended,
     build_instance,
     check_reduction,
-    controlled_depolarize_kraus,
     isometry_matrix,
     max_accept_prob,
     operator_norm,
@@ -21,6 +21,7 @@ from isolab import (
     unitary_gate,
     witness_injection,
 )
+from isolab.circuits import controlled_depolarizing_kraus
 from isolab.reduction import VerifierSpec
 
 ACCEPT_IF_ONE = """witness: 0
@@ -48,13 +49,13 @@ gate H 1
 
 class TestControlledDepolarizeKraus:
     def test_operator_count_and_completeness(self):
-        ks = controlled_depolarize_kraus(2)
+        ks = KrausSet(controlled_depolarizing_kraus(2))
         assert len(ks.operators) == 5
         assert ks.completeness_defect() < 1e-12
 
     def test_control_off_leaves_target(self):
         rng = np.random.default_rng(70)
-        ks = controlled_depolarize_kraus(3)
+        ks = KrausSet(controlled_depolarizing_kraus(3))
         target = np.array(np.outer(*(2 * [random_pure(rng, 3).amplitudes.conj()])).conj())
         state = np.kron(np.diag([1.0, 0.0]), target)
         out = ks.apply(state)
@@ -62,7 +63,7 @@ class TestControlledDepolarizeKraus:
 
     def test_control_on_mixes_target(self):
         rng = np.random.default_rng(71)
-        ks = controlled_depolarize_kraus(4)
+        ks = KrausSet(controlled_depolarizing_kraus(4))
         target = np.outer(random_pure(rng, 4).amplitudes, random_pure(rng, 4).amplitudes.conj())
         target = (target + target.conj().T) / 2
         target /= np.trace(target)
@@ -78,7 +79,7 @@ class TestControlledDepolarizeKraus:
         a = random_pure(rng, 2).amplitudes
         b = random_pure(rng, 2).amplitudes
         vec = np.concatenate([np.sqrt(1 - p) * a, np.sqrt(p) * b])
-        ks = controlled_depolarize_kraus(2)
+        ks = KrausSet(controlled_depolarizing_kraus(2))
         out = ks.apply(np.outer(vec, vec.conj()))
         expected = np.zeros((4, 4), dtype=complex)
         expected[:2, :2] = (1 - p) * np.outer(a, a.conj())
@@ -200,7 +201,7 @@ class TestBuildInstance:
         assert circ.input_qubits == 1
         assert circ.output_qubits == 3
         # witness |1>: measured qubit reads one, the rest is fully mixed
-        out = apply_channel(ChannelHandle(circ), DensityMatrix(np.diag([0.0, 1.0])))
+        out = apply_circuit(circ, DensityMatrix(np.diag([0.0, 1.0])))
         expected = np.kron(np.diag([0.0, 1.0]), np.eye(4) / 4)
         assert np.abs(out.matrix - expected).max() < 1e-12
         assert operator_norm(out.matrix) == pytest.approx(0.25, abs=1e-12)
@@ -230,7 +231,7 @@ class TestBuildInstance:
         # the ancilla is flipped to |1>, so every witness is accepted and
         # the garbage-plus-padding block is fully mixed
         rng = np.random.default_rng(74)
-        out = apply_channel(ch, random_pure(rng, 2).density())
+        out = apply_circuit(ch.circuit, random_pure(rng, 2).density())
         d = inst.mixing_dim
         sub = out.matrix.reshape(2, d, 2, d)
         block1 = sub[1, :, 1, :]
