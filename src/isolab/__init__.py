@@ -2,9 +2,10 @@
 linear isometry.
 
 The package provides exact dense linear algebra and purity metrics, a
-parseable mixed-state circuit representation, Choi/Kraus channel
-analysis with an exact isometry test and a worst-case output-mixedness
-search, a two-swap-test verification protocol with exact and sampled
+parseable mixed-state circuit representation compiled to its Stinespring
+isometry, Kraus and Choi channel analysis read off that isometry with an
+exact isometry test and a worst-case output-mixedness search, a
+two-swap-test verification protocol with exact and sampled
 outcome statistics, and a reduction turning verifier circuits into
 channel instances whose mixing mirrors the verifier's acceptance.
 """
@@ -18,16 +19,14 @@ from .channels import (
     DimensionCapError,
     ExactIsometryResult,
     IsometryReport,
-    KrausSet,
     NotNearIsometryError,
     analyze_channel,
     apply_extended,
     choi_marginal,
     choi_of,
-    choi_rank,
     exact_isometry_test,
     extract_approx_isometry,
-    kraus_from_choi,
+    kraus_of,
     min_output_opnorm,
     probe_epsilon,
 )

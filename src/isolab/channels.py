@@ -1,13 +1,14 @@
 """Algebraic channel representations and isometry analysis.
 
 A circuit defines a channel; its handle compiles it once to the
-Stinespring isometry V (see ``circuits.compile_circuit``) and reads
-everything else off V: the Choi matrix, from which the minimal Kraus set
-comes, and every channel output. This module tests whether the channel is
-an exact isometry (rank-one Choi matrix with A*A = I), and searches for the
-most mixing pure input of the reference-extended channel. The reference
-space always has the dimension of the input space, which suffices for the
-rank criterion.
+Stinespring isometry V (see ``circuits.compile_circuit``) and derives
+everything else from V: the minimal Kraus set, from the Gram matrix of
+V's environment, and every channel output. The Choi matrix is read off V
+for reports only. This module tests whether the channel is an exact
+isometry (Kraus rank one with A*A = I), and searches for the most mixing
+pure input of the reference-extended channel. The reference space always
+has the dimension of the input space, which suffices for the rank
+criterion.
 """
 
 import os
@@ -19,7 +20,6 @@ from .circuits import Circuit, _apply_isometry, _environment_trace, compile_circ
 from .linalg import (
     DensityMatrix,
     PureState,
-    as_matrix,
     maximally_entangled_state,
     operator_norm,
     partial_trace,
@@ -61,13 +61,12 @@ def max_total_dim() -> int:
 @dataclass(eq=False)
 class ChannelHandle:
     """A channel given by its circuit, with dimension bookkeeping. The
-    compiled isometry, the Choi matrix and the minimal Kraus set are
+    compiled isometry and the minimal Kraus set derived from it are
     computed on first use and kept with the handle, so the circuit must not
     change afterwards."""
 
     circuit: Circuit
     _isometry: np.ndarray | None = field(default=None, init=False, repr=False)
-    _choi: "ChoiMatrix | None" = field(default=None, init=False, repr=False)
     _kraus: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -135,73 +134,30 @@ class ChoiMatrix:
 
 def choi_of(ch: ChannelHandle) -> ChoiMatrix:
     """Choi matrix of the channel, read off the compiled isometry: with M
-    the isometry as a d_env x (d_out d_in) matrix, it is M^T conj(M) / d_in."""
+    the isometry as a d_env x (d_out d_in) matrix, it is M^T conj(M) / d_in.
+    Only reports read it, so it is formed anew on every call."""
     j = _environment_trace(_isometry(ch)) / ch.dim_in
     return ChoiMatrix(ch.dim_in, ch.dim_out, DensityMatrix(j))
 
 
-@dataclass(eq=False)
-class KrausSet:
-    """Operators A_i with channel action X -> sum_i A_i X A_i*."""
+def kraus_of(ch: ChannelHandle) -> np.ndarray:
+    """Minimal Kraus set of the channel, stacked read-only as (r, d_out,
+    d_in) and computed once per handle.
 
-    operators: list[np.ndarray]
-
-    @property
-    def dim_out(self) -> int:
-        return self.operators[0].shape[0]
-
-    @property
-    def dim_in(self) -> int:
-        return self.operators[0].shape[1]
-
-    def apply(self, mat) -> np.ndarray:
-        mat = as_matrix(mat)
-        acc = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-        for a in self.operators:
-            acc += a @ mat @ a.conj().T
-        return acc
-
-    def completeness_defect(self) -> float:
-        acc = np.zeros((self.dim_in, self.dim_in), dtype=complex)
-        for a in self.operators:
-            acc += a.conj().T @ a
-        return float(np.abs(acc - np.eye(self.dim_in)).max())
-
-
-def choi_rank(choi: ChoiMatrix, rank_tol: float = RANK_TOL) -> int:
-    w = np.linalg.eigvalsh(choi.matrix.matrix)
-    return int(np.count_nonzero(w > rank_tol))
-
-
-def kraus_from_choi(choi: ChoiMatrix, rank_tol: float = RANK_TOL) -> KrausSet:
-    """Minimal Kraus set from the Choi eigendecomposition: one operator per
-    eigenvalue above *rank_tol*, the eigenvector reshaped to an output-by-
-    input matrix and scaled by sqrt(eigenvalue * dim_in)."""
-    m = choi.matrix.matrix
-    w, v = np.linalg.eigh(m)
-    ops = []
-    for i in range(len(w) - 1, -1, -1):
-        if w[i] <= rank_tol:
-            break
-        a = np.sqrt(w[i] * choi.dim_in) * v[:, i].reshape(choi.dim_out, choi.dim_in)
-        ops.append(a)
-    return KrausSet(ops)
-
-
-def _cached_choi(ch: ChannelHandle) -> ChoiMatrix:
-    """Choi matrix of the handle's channel, computed once per handle and
-    shared by the Kraus set and the protocol."""
-    if ch._choi is None:
-        ch._choi = choi_of(ch)
-    return ch._choi
-
-
-def _minimal_kraus(ch: ChannelHandle) -> np.ndarray:
-    """Minimal Kraus operators at RANK_TOL stacked as (r, d_out, d_in),
-    computed once per handle and shared by the isometry test and the
-    search."""
+    With M the isometry as a d_env x (d_out d_in) matrix, each eigenvalue
+    of the Gram matrix M M* is d_in times a Choi eigenvalue. The operators
+    are the rows of U_r* M, for U_r the eigenvectors whose eigenvalues
+    exceed d_in * RANK_TOL, largest first: the Choi rank rule at RANK_TOL.
+    """
+    iso = _isometry(ch)
     if ch._kraus is None:
-        ch._kraus = np.stack(kraus_from_choi(_cached_choi(ch)).operators)
+        d_out, d_env, d_in = iso.shape
+        m = iso.transpose(1, 0, 2).reshape(d_env, d_out * d_in)
+        w, u = np.linalg.eigh(m @ m.conj().T)
+        u_r = u[:, ::-1][:, w[::-1] > d_in * RANK_TOL]
+        kraus = (u_r.conj().T @ m).reshape(-1, d_out, d_in)
+        kraus.flags.writeable = False
+        ch._kraus = kraus
     return ch._kraus
 
 
@@ -213,9 +169,9 @@ class ExactIsometryResult:
 
 
 def exact_isometry_test(ch: ChannelHandle) -> ExactIsometryResult:
-    """Exact isometry criterion: the Choi matrix has rank one at RANK_TOL
-    and the single Kraus operator A satisfies A*A = I within 1e-9."""
-    ops = _minimal_kraus(ch)
+    """Exact isometry criterion: the minimal Kraus set has one operator at
+    RANK_TOL, and it satisfies A*A = I within 1e-9."""
+    ops = kraus_of(ch)
     rank = len(ops)
     if rank != 1:
         return ExactIsometryResult(rank, False, None)
@@ -310,7 +266,7 @@ def min_output_opnorm(
             f"search supports input dimension up to {MAX_SEARCH_DIM_IN}, got {ch.dim_in}"
         )
     _check_cap(ch)
-    kraus = _minimal_kraus(ch)
+    kraus = kraus_of(ch)
     rng = np.random.default_rng(seed)
     best_val = np.inf
     best_psi = None

@@ -22,7 +22,7 @@ from .channels import (
     analyze_channel,
     apply_extended,
     choi_of,
-    kraus_from_choi,
+    kraus_of,
     min_output_opnorm,
 )
 from .circuits import (
@@ -36,17 +36,9 @@ from .protocol import WitnessState, honest_witness, run_protocol_exact, run_prot
 from .reduction import build_instance, check_reduction, max_accept_prob, parse_verifier
 
 
-def _complex_pair(z) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def _vector_payload(v) -> list:
-    return [_complex_pair(z) for z in np.asarray(v).reshape(-1)]
-
-
-def _matrix_payload(m) -> list:
-    return [[_complex_pair(z) for z in row] for row in np.asarray(m)]
+def _complex_payload(a) -> list:
+    """Nested lists of the array's entries as [re, im] pairs."""
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def _emit(command: str, inputs: dict, results: dict, seed=None) -> None:
@@ -158,7 +150,7 @@ def analyze(path, epsilon, restarts, seed):
         "min_output_opnorm": report.min_output_opnorm,
         "classification": report.classification,
         "epsilon": epsilon,
-        "minimizer": _vector_payload(report.minimizing_state.amplitudes),
+        "minimizer": _complex_payload(report.minimizing_state.amplitudes),
         "minimizer_output_purity": metrics.purity,
         "minimizer_output_opnorm": metrics.opnorm,
         "minimizer_output_tdist_to_pure": metrics.tdist_to_pure,
@@ -188,7 +180,7 @@ def choi(path):
             "dim_out": c.dim_out,
             "rank": rank,
             "eigenvalues": [float(x) for x in w],
-            "matrix": _matrix_payload(c.matrix.matrix),
+            "matrix": _complex_payload(c.matrix.matrix),
         },
     )
 
@@ -199,20 +191,20 @@ def choi(path):
 def kraus(path):
     """Minimal Kraus operators and the reconstruction residual."""
     ch = ChannelHandle(_load_circuit(path))
-    choi = choi_of(ch)
-    ks = kraus_from_choi(choi)
+    k = kraus_of(ch)
+    flat = k.reshape(len(k), -1)
     # d_in max|J_Kraus - J| against the Choi matrix J of the compiled
     # circuit: the largest entry error of the Kraus set's output on any
     # matrix unit |i><j| of the input.
-    k = np.stack(ks.operators).reshape(len(ks.operators), -1)
-    residual = float(np.abs(k.T @ k.conj() - ch.dim_in * choi.matrix.matrix).max())
+    residual = float(np.abs(flat.T @ flat.conj() - ch.dim_in * choi_of(ch).matrix.matrix).max())
+    gram = np.tensordot(k.conj(), k, axes=([0, 1], [0, 1]))
     _emit(
         "kraus",
         {"path": path},
         {
-            "count": len(ks.operators),
-            "operators": [_matrix_payload(a) for a in ks.operators],
-            "completeness_defect": ks.completeness_defect(),
+            "count": len(k),
+            "operators": _complex_payload(k),
+            "completeness_defect": float(np.abs(gram - np.eye(ch.dim_in)).max()),
             "reconstruction_residual": residual,
         },
     )
@@ -230,6 +222,8 @@ def kraus(path):
 @_guarded
 def protocol(path, witness_kind, witness_file, psi_kind, psi_file, shots, restarts, seed):
     """Run the two-swap-test protocol on a witness, exactly and sampled."""
+    if shots < 0:
+        raise ValueError(f"--shots must be 0 (exact) or positive, got {shots}")
     ch = ChannelHandle(_load_circuit(path))
     if witness_kind == "file":
         if witness_file is None:
@@ -244,7 +238,7 @@ def protocol(path, witness_kind, witness_file, psi_kind, psi_file, shots, restar
         else:
             _, psi = min_output_opnorm(ch, restarts=restarts, seed=seed)
         witness = honest_witness(ch, psi)
-        psi_used = _vector_payload(psi.amplitudes)
+        psi_used = _complex_payload(psi.amplitudes)
     if shots > 0:
         result = run_protocol_sampled(ch, witness, shots, seed)
     else:

@@ -24,7 +24,7 @@ import numpy as np
 from .channels import (
     ChannelHandle,
     DimensionCapError,
-    _cached_choi,
+    _isometry,
     exact_isometry_test,
     max_total_dim,
     min_output_opnorm,
@@ -141,15 +141,15 @@ def _parallel_extended_output(ch: ChannelHandle, mat: np.ndarray) -> np.ndarray:
     matrix on (input (x) reference) (x) (input (x) reference).
 
     The channel's natural representation S, with vec(Phi(X)) = S vec(X) in
-    row-major order, is a reshuffle of the Choi matrix J:
-    S[(x, x'), (a, a')] = d_in J[(x, a), (x', a')]. The matrix is viewed as
-    a tensor with axes (a r1 b r2 | a' r1' b' r2'); S contracts (a, a') for
-    the first copy and (b, b') for the second, and the reference axes pass
-    through unchanged.
+    row-major order, is read off the compiled isometry V by one contraction
+    over the environment: S[(x, x'), (a, a')] = sum_e V[x, e, a]
+    conj(V[x', e, a']). The matrix is viewed as a tensor with axes
+    (a r1 b r2 | a' r1' b' r2'); S contracts (a, a') for the first copy and
+    (b, b') for the second, and the reference axes pass through unchanged.
     """
     d_in, d_out = ch.dim_in, ch.dim_out
-    j = _cached_choi(ch).matrix.matrix
-    s = d_in * j.reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3)
+    v = _isometry(ch)
+    s = np.tensordot(v, v.conj(), axes=([1], [1])).transpose(0, 2, 1, 3)
     t = np.tensordot(s, mat.reshape((d_in,) * 8), axes=([2, 3], [0, 4]))
     t = t.transpose(0, 2, 3, 4, 1, 5, 6, 7)   # (x r1 b r2 | x' r1' b' r2')
     t = np.tensordot(s, t, axes=([2, 3], [2, 6]))

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from isolab import (
     AddAncilla,
@@ -15,6 +16,7 @@ from isolab import (
     PureState,
     TraceOut,
     UnitaryGate,
+    cdepolarize_gate,
     dephase_gate,
     depolarize_gate,
     gate,
@@ -22,6 +24,7 @@ from isolab import (
     swap_operator,
     unitary_gate,
 )
+from isolab.channels import RANK_TOL
 
 # Every @given test draws the same examples on every run and keeps no
 # example database, so the suite is deterministic.
@@ -29,23 +32,35 @@ settings.register_profile("deterministic", derandomize=True, database=None, dead
 settings.load_profile("deterministic")
 
 
-@pytest.fixture
-def choi_calls(monkeypatch):
-    """Handles passed to ``choi_of`` while the test runs, counted under
-    every name an isolab module binds it to."""
-    import isolab.channels as channels
-
+def _call_log(monkeypatch, real):
+    """First arguments of the calls to the isolab function *real* while the
+    test runs, counted under every name an isolab module binds it to."""
     calls = []
-    real = channels.choi_of
 
-    def counting(ch):
-        calls.append(ch)
-        return real(ch)
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "isolab" and getattr(module, "choi_of", None) is real:
-            monkeypatch.setattr(module, "choi_of", counting)
+        if name.split(".")[0] == "isolab" and getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, counting)
     return calls
+
+
+@pytest.fixture
+def choi_calls(monkeypatch):
+    """Handles passed to ``choi_of`` while the test runs."""
+    import isolab.channels as channels
+
+    return _call_log(monkeypatch, channels.choi_of)
+
+
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """Circuits passed to ``compile_circuit`` while the test runs."""
+    import isolab.circuits as circuits
+
+    return _call_log(monkeypatch, circuits.compile_circuit)
 
 
 def random_pure(rng, dim):
@@ -155,6 +170,43 @@ def random_kraus(rng, d_in, d_out, rank):
     g = rng.normal(size=(rank * d_out, d_in)) + 1j * rng.normal(size=(rank * d_out, d_in))
     q, _ = np.linalg.qr(g)
     return [q[k * d_out:(k + 1) * d_out] for k in range(rank)]
+
+
+def choi_rank_oracle(j, rank_tol=RANK_TOL):
+    """Number of eigenvalues of the Choi matrix *j* above *rank_tol*."""
+    return int(np.count_nonzero(np.linalg.eigvalsh(j) > rank_tol))
+
+
+def kraus_from_choi_oracle(j, d_in, rank_tol=RANK_TOL):
+    """Minimal Kraus operators from the eigendecomposition of the Choi
+    matrix *j*: one per eigenvalue above *rank_tol*, largest first, the
+    eigenvector reshaped to an output-by-input matrix and scaled by
+    sqrt(eigenvalue * d_in)."""
+    w, v = np.linalg.eigh(j)
+    d_out = j.shape[0] // d_in
+    return [
+        np.sqrt(w[i] * d_in) * v[:, i].reshape(d_out, d_in)
+        for i in range(len(w) - 1, -1, -1)
+        if w[i] > rank_tol
+    ]
+
+
+def kraus_apply_oracle(kraus_ops, mat):
+    """sum_k A_k mat A_k*, one operator at a time."""
+    d_out = kraus_ops[0].shape[0]
+    acc = np.zeros((d_out, d_out), dtype=complex)
+    for a in kraus_ops:
+        acc += a @ mat @ a.conj().T
+    return acc
+
+
+def completeness_defect_oracle(kraus_ops):
+    """max |sum_k A_k* A_k - I|, one operator at a time."""
+    d_in = kraus_ops[0].shape[1]
+    acc = np.zeros((d_in, d_in), dtype=complex)
+    for a in kraus_ops:
+        acc += a.conj().T @ a
+    return float(np.abs(acc - np.eye(d_in)).max())
 
 
 def extended_output_oracle(kraus_ops, psi, d_in):
@@ -412,4 +464,44 @@ def random_circuit(rng, max_in=3, max_total=4, isometry_only=False, n_gates=None
             k = 2 if count >= 2 and rng.random() < 0.3 else 1
             t = rng.choice(count, size=k, replace=False)
             gates.append(depolarize_gate(*(int(x) for x in t)))
+    return Circuit(n_in, gates)
+
+
+@st.composite
+def mixed_circuits(draw, max_in=2, max_total=4, isometry_only=False):
+    """Circuits of builtin and umatrix gates, ancillas and, unless
+    *isometry_only*, trace-outs and dephase, depolarize and cdepolarize
+    gates, with at most *max_total* qubits in flight."""
+    n_in = draw(st.integers(1, max_in))
+    count = n_in
+    gates = []
+    for _ in range(draw(st.integers(1, 6))):
+        kinds = ["builtin", "umatrix"]
+        if count < max_total:
+            kinds.append("ancilla")
+        if not isometry_only:
+            kinds += ["dephase", "depolarize"]
+            if count > 1:
+                kinds += ["traceout", "cdepolarize"]
+        kind = draw(st.sampled_from(kinds))
+        qubits = draw(st.permutations(range(count)))
+        k = 2 if count > 1 and draw(st.booleans()) else 1
+        if kind == "builtin":
+            name = draw(st.sampled_from(["CNOT", "CZ", "SWAP"] if k == 2 else ["H", "S", "T", "X", "Y"]))
+            gates.append(gate(name, *qubits[:k]))
+        elif kind == "umatrix":
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            gates.append(unitary_gate(random_unitary(rng, 2 ** k), *qubits[:k]))
+        elif kind == "ancilla":
+            gates.append(AddAncilla())
+            count += 1
+        elif kind == "traceout":
+            gates.append(TraceOut(qubits[0]))
+            count -= 1
+        elif kind == "dephase":
+            gates.append(dephase_gate(qubits[0]))
+        elif kind == "depolarize":
+            gates.append(depolarize_gate(*qubits[:k]))
+        else:
+            gates.append(cdepolarize_gate(qubits[0], *qubits[1:1 + min(k, count - 1)]))
     return Circuit(n_in, gates)

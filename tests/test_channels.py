@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import (
     brute_force_min_opnorm,
+    choi_oracle,
+    choi_rank_oracle,
+    completeness_defect_oracle,
     extended_output_oracle,
+    kraus_apply_oracle,
+    kraus_from_choi_oracle,
+    mixed_circuits,
     opnorm_gradient_oracle,
     random_circuit,
     random_density,
@@ -21,11 +28,10 @@ from isolab import (
     apply_extended,
     choi_marginal,
     choi_of,
-    choi_rank,
     exact_isometry_test,
     extract_approx_isometry,
     isometry_matrix,
-    kraus_from_choi,
+    kraus_of,
     maximally_entangled_state,
     min_output_opnorm,
     operator_norm,
@@ -52,7 +58,7 @@ class TestChoi:
         c = choi_of(handle(IDENTITY))
         phi = maximally_entangled_state(2).projector()
         assert np.abs(c.matrix.matrix - phi).max() < 1e-12
-        assert choi_rank(c) == 1
+        assert choi_rank_oracle(c.matrix.matrix) == 1
 
     def test_depolarizer_is_maximally_mixed(self):
         c = choi_of(handle(DEPOLARIZER))
@@ -62,7 +68,7 @@ class TestChoi:
         c = choi_of(handle(RESET))
         expected = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)
         assert np.abs(c.matrix.matrix - expected).max() < 1e-12
-        assert choi_rank(c) == 2
+        assert choi_rank_oracle(c.matrix.matrix) == 2
 
     def test_trace_preservation_marginal(self):
         rng = np.random.default_rng(50)
@@ -111,45 +117,96 @@ class TestChoi:
         assert len(calls) == 1
 
 
+def natural_rep(kraus_ops):
+    """sum_k A_k (x) conj(A_k), the same for every Kraus set of a channel."""
+    return sum(np.kron(a, a.conj()) for a in kraus_ops)
+
+
 class TestKraus:
+    """The Kraus set read off the compiled isometry against the Choi
+    eigendecomposition and the operator-at-a-time channel action of the
+    conftest oracles."""
+
     def test_identity_single_operator(self):
-        ks = kraus_from_choi(choi_of(handle(IDENTITY)))
-        assert len(ks.operators) == 1
-        a = ks.operators[0]
+        ops = kraus_of(handle(IDENTITY))
+        assert len(ops) == 1
+        a = ops[0]
         phase = a[0, 0] / abs(a[0, 0])
         assert np.abs(a / phase - np.eye(2)).max() < 1e-9
 
     def test_depolarizer_operators(self):
-        ks = kraus_from_choi(choi_of(handle(DEPOLARIZER)))
-        assert len(ks.operators) == 4
-        for a in ks.operators:
-            mags = np.abs(a)
-            assert np.count_nonzero(mags > 1e-9) == 1
-        assert ks.completeness_defect() < 1e-9
+        ops = kraus_of(handle(DEPOLARIZER))
+        assert len(ops) == 4
+        # Any unitary mix of the four matrix units |i><j| / sqrt(2) is a
+        # minimal Kraus set; all share these invariants. The channel is
+        # X -> tr(X) I/2, so its natural representation is vec(I) vec(I)^T / 2.
+        gram = np.einsum("koi,loi->kl", ops.conj(), ops)
+        assert np.abs(gram - np.eye(4) / 2).max() < 1e-9
+        vec_i = np.eye(2).reshape(-1)
+        assert np.abs(natural_rep(ops) - np.outer(vec_i, vec_i) / 2).max() < 1e-9
+        assert completeness_defect_oracle(ops) < 1e-9
 
     def test_dephase_reconstruction(self):
         ch = handle(DEPHASE)
-        ks = kraus_from_choi(choi_of(ch))
+        ops = kraus_of(ch)
         for i in range(2):
             for j in range(2):
                 unit = np.zeros((2, 2), dtype=complex)
                 unit[i, j] = 1.0
                 direct = apply_circuit_matrix(ch.circuit, unit)
-                assert np.abs(ks.apply(unit) - direct).max() < 1e-8
+                assert np.abs(kraus_apply_oracle(ops, unit) - direct).max() < 1e-8
 
     def test_reconstruction_on_random_circuits(self):
         rng = np.random.default_rng(51)
         for _ in range(15):
             ch = ChannelHandle(random_circuit(rng))
-            ks = kraus_from_choi(choi_of(ch))
-            assert ks.completeness_defect() < 1e-8
+            ops = kraus_of(ch)
+            assert completeness_defect_oracle(ops) < 1e-8
             d = ch.dim_in
             for i in range(d):
                 for j in range(d):
                     unit = np.zeros((d, d), dtype=complex)
                     unit[i, j] = 1.0
                     direct = apply_circuit_matrix(ch.circuit, unit)
-                    assert np.abs(ks.apply(unit) - direct).max() < 1e-8
+                    assert np.abs(kraus_apply_oracle(ops, unit) - direct).max() < 1e-8
+
+    @staticmethod
+    def check_against_choi_oracle(circuit):
+        """Equal rank, equal natural representation and pairwise orthogonal
+        operators; returns the operators."""
+        ops = kraus_of(ChannelHandle(circuit))
+        d_in = 2 ** circuit.input_qubits
+        expected = kraus_from_choi_oracle(choi_oracle(circuit), d_in)
+        assert len(ops) == len(expected)
+        assert np.abs(natural_rep(ops) - natural_rep(expected)).max() <= 1e-12
+        gram = np.einsum("koi,loi->kl", ops.conj(), ops)
+        assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-12
+        return ops
+
+    @settings(max_examples=60)
+    @given(circuit=mixed_circuits())
+    def test_matches_choi_oracle(self, circuit):
+        ops = self.check_against_choi_oracle(circuit)
+        assert completeness_defect_oracle(ops) <= 1e-12
+
+    @pytest.mark.parametrize("s", [1e-8, 1e-6])
+    def test_near_rank_threshold(self, s):
+        # Output depolarizing of strength s adds three Choi eigenvalues of
+        # s/4, and RANK_TOL (1e-7) lies between the two strengths: at 1e-8
+        # one operator is kept and the dropped weight 3s/4 shows as the
+        # completeness defect; at 1e-6 all four are kept.
+        circuit = append_output_depolarizing(parse_circuit("qubits 1\ngate H 0\n"), s)
+        ops = self.check_against_choi_oracle(circuit)
+        dropped = s < 1e-7
+        assert len(ops) == (1 if dropped else 4)
+        assert completeness_defect_oracle(ops) == pytest.approx(0.75 * s if dropped else 0.0, abs=1e-12)
+
+    def test_read_only_and_cached(self):
+        ch = handle(DEPHASE)
+        ops = kraus_of(ch)
+        assert kraus_of(ch) is ops
+        with pytest.raises(ValueError, match="read-only"):
+            ops[0, 0, 0] = 1.0
 
 
 class TestExactIsometry:
@@ -210,7 +267,7 @@ class TestMinOutputOpnorm:
         ch = handle(RESET)
         val, _ = min_output_opnorm(ch, restarts=8, seed=2)
         assert val == pytest.approx(0.5, abs=1e-3)
-        ops = kraus_from_choi(choi_of(ch)).operators
+        ops = kraus_from_choi_oracle(choi_oracle(ch.circuit), 2)
         sampled = brute_force_min_opnorm(ops, 2, n_samples=20_000, seed=99)
         assert sampled >= val - 1e-6
 
@@ -291,14 +348,10 @@ class TestClassification:
         with pytest.raises(ValueError, match="epsilon"):
             analyze_channel(handle(IDENTITY), 0.5)
 
-    def test_choi_computed_once(self, monkeypatch):
-        import isolab.channels as channels
-
-        calls = []
-        real = channels.choi_of
-        monkeypatch.setattr(channels, "choi_of", lambda ch: calls.append(ch) or real(ch))
+    def test_compiled_once_without_choi(self, compile_calls, choi_calls):
         assert analyze_channel(handle(RESET), 0.3, restarts=2, seed=0).classification == "indeterminate"
-        assert len(calls) == 1
+        assert len(compile_calls) == 1
+        assert len(choi_calls) == 0
 
 
 class TestRankOneEquivalence:
@@ -308,11 +361,10 @@ class TestRankOneEquivalence:
         circuits += [random_circuit(rng) for _ in range(12)]
         for circ in circuits:
             ch = ChannelHandle(circ)
-            c = choi_of(ch)
-            rank_one = choi_rank(c) == 1
-            ks = kraus_from_choi(c)
-            if len(ks.operators) == 1:
-                a = ks.operators[0]
+            rank_one = choi_rank_oracle(choi_of(ch).matrix.matrix) == 1
+            ops = kraus_of(ch)
+            if len(ops) == 1:
+                a = ops[0]
                 kraus_isometric = np.abs(a.conj().T @ a - np.eye(ch.dim_in)).max() <= 1e-8
             else:
                 kraus_isometric = False

@@ -9,29 +9,26 @@ from conftest import (
     choi_oracle,
     density_oracle,
     isometry_oracle,
+    mixed_circuits,
     random_circuit,
     random_density,
     random_pure,
     random_unitary,
 )
 from isolab import (
-    AddAncilla,
     ChannelGate,
     ChannelHandle,
     Circuit,
     CircuitParseError,
     DensityMatrix,
     PureState,
-    TraceOut,
     append_output_depolarizing,
     apply_circuit,
     apply_circuit_matrix,
-    cdepolarize_gate,
     choi_of,
     compile_circuit,
     dephase_gate,
     depolarize_gate,
-    gate,
     isometry_matrix,
     parse_circuit,
     purity_metrics,
@@ -262,46 +259,6 @@ class TestOutputDepolarizing:
     def test_emitted_gates_round_trip(self):
         noisy = append_output_depolarizing(parse_circuit("qubits 1\ngate H 0\n"), 0.25)
         assert parse_circuit(serialize_circuit(noisy)) == noisy
-
-
-@st.composite
-def mixed_circuits(draw, max_in=2, max_total=4, isometry_only=False):
-    """Circuits of builtin and umatrix gates, ancillas and, unless
-    *isometry_only*, trace-outs and dephase, depolarize and cdepolarize
-    gates, with at most *max_total* qubits in flight."""
-    n_in = draw(st.integers(1, max_in))
-    count = n_in
-    gates = []
-    for _ in range(draw(st.integers(1, 6))):
-        kinds = ["builtin", "umatrix"]
-        if count < max_total:
-            kinds.append("ancilla")
-        if not isometry_only:
-            kinds += ["dephase", "depolarize"]
-            if count > 1:
-                kinds += ["traceout", "cdepolarize"]
-        kind = draw(st.sampled_from(kinds))
-        qubits = draw(st.permutations(range(count)))
-        k = 2 if count > 1 and draw(st.booleans()) else 1
-        if kind == "builtin":
-            name = draw(st.sampled_from(["CNOT", "CZ", "SWAP"] if k == 2 else ["H", "S", "T", "X", "Y"]))
-            gates.append(gate(name, *qubits[:k]))
-        elif kind == "umatrix":
-            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-            gates.append(unitary_gate(random_unitary(rng, 2 ** k), *qubits[:k]))
-        elif kind == "ancilla":
-            gates.append(AddAncilla())
-            count += 1
-        elif kind == "traceout":
-            gates.append(TraceOut(qubits[0]))
-            count -= 1
-        elif kind == "dephase":
-            gates.append(dephase_gate(qubits[0]))
-        elif kind == "depolarize":
-            gates.append(depolarize_gate(*qubits[:k]))
-        else:
-            gates.append(cdepolarize_gate(qubits[0], *qubits[1:1 + min(k, count - 1)]))
-    return Circuit(n_in, gates)
 
 
 class TestCompiledIsometry:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import density_oracle
-from isolab import KrausSet, append_output_depolarizing, parse_circuit, serialize_circuit, validate_circuit
-from isolab.cli import main
+from conftest import density_oracle, kraus_apply_oracle
+from isolab import append_output_depolarizing, parse_circuit, serialize_circuit, validate_circuit
+from isolab.cli import _complex_payload, main
 
 DEPOLARIZER = "qubits 1\nchannel depolarize 0\n"
 IDENTITY = "qubits 1\n"
@@ -121,13 +121,13 @@ class TestChoiKraus:
         circuit = append_output_depolarizing(parse_circuit("qubits 2\ngate H 0\ngate CNOT 0 1\n"), strength)
         path = write(tmp_path, "c.circuit", serialize_circuit(circuit))
         r = json.loads(runner.invoke(main, ["kraus", path]).output)["results"]
-        ks = KrausSet([np.array([[complex(re, im) for re, im in row] for row in op]) for op in r["operators"]])
+        ops = [np.array([[complex(re, im) for re, im in row] for row in op]) for op in r["operators"]]
         loop = 0.0
         for i in range(4):
             for j in range(4):
                 unit = np.zeros((4, 4), dtype=complex)
                 unit[i, j] = 1.0
-                loop = max(loop, float(np.abs(ks.apply(unit) - density_oracle(circuit, unit)).max()))
+                loop = max(loop, float(np.abs(kraus_apply_oracle(ops, unit) - density_oracle(circuit, unit)).max()))
         assert r["reconstruction_residual"] == pytest.approx(loop, abs=1e-14)
         assert (loop > 1e-9) == (strength < 1e-7)
 
@@ -140,6 +140,25 @@ class TestChoiKraus:
         res = runner.invoke(main, ["choi", path])
         assert res.exit_code == 1
         assert res.output == "error: linear algebra failed: Eigenvalues did not converge\n"
+
+
+class TestComplexPayload:
+    """One stacked conversion against the per-entry [re, im] construction,
+    compared as serialized JSON."""
+
+    @staticmethod
+    def per_entry(a):
+        if a.ndim == 0:
+            return [float(a.real), float(a.imag)]
+        return [TestComplexPayload.per_entry(x) for x in a]
+
+    @pytest.mark.parametrize("shape", [(7,), (64, 64), (3, 4, 2)])
+    def test_matches_per_entry_json(self, shape):
+        rng = np.random.default_rng(90)
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        flat = a.reshape(-1)
+        flat[:6] = [-0.0 + 0.0j, complex(0.0, -0.0), 1e-320 - 1e-320j, 1e300 + 0j, -1e300j, 5e-324]
+        assert json.dumps(_complex_payload(a)) == json.dumps(self.per_entry(a))
 
 
 class TestProtocol:
@@ -186,7 +205,7 @@ class TestProtocol:
         assert 0.0 <= r["p_accept"] <= 1.0
         assert r["psi"] is None
 
-    def test_witness_file_choi_computed_once(self, runner, tmp_path, choi_calls):
+    def test_witness_file_compiled_once_without_choi(self, runner, tmp_path, compile_calls, choi_calls):
         path = write(tmp_path, "c.circuit", DEPOLARIZER)
         rows = [" ".join("0.0625+0i" if i == j else "0+0i" for j in range(16)) for i in range(16)]
         witness = write(tmp_path, "w.matrix", "\n".join(rows) + "\n")
@@ -194,7 +213,8 @@ class TestProtocol:
             main, ["protocol", path, "--witness", "file", "--witness-file", witness]
         )
         assert res.exit_code == 0
-        assert len(choi_calls) == 1
+        assert len(compile_calls) == 1
+        assert len(choi_calls) == 0
 
     def test_near_isometry_runs(self, runner, tmp_path):
         # Output noise of 1e-7 sits below the Kraus rank tolerance.
@@ -213,6 +233,12 @@ class TestProtocol:
         res = runner.invoke(main, ["protocol", path, "--restarts", "2"])
         assert res.exit_code == 1
         assert isinstance(res.exception, RuntimeError)
+
+    def test_negative_shots_is_input_error(self, runner, tmp_path):
+        path = write(tmp_path, "c.circuit", DEPOLARIZER)
+        res = runner.invoke(main, ["protocol", path, "--shots", "-3"])
+        assert res.exit_code == 2
+        assert "--shots" in res.output
 
     def test_shots_deterministic(self, runner, tmp_path):
         path = write(tmp_path, "c.circuit", DEPOLARIZER)
