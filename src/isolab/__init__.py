@@ -15,14 +15,12 @@ __version__ = "0.1.0"
 from .channels import (
     ApproxIsometryDiagnostics,
     ChannelHandle,
-    ChoiMatrix,
     DimensionCapError,
     ExactIsometryResult,
     IsometryReport,
     NotNearIsometryError,
     analyze_channel,
     apply_extended,
-    choi_marginal,
     choi_of,
     exact_isometry_test,
     extract_approx_isometry,
@@ -60,8 +58,6 @@ from .linalg import (
     operator_norm,
     partial_trace,
     purity_metrics,
-    swap_operator,
-    sym_antisym_projectors,
     top_eigenpair,
     trace_norm,
 )
@@ -69,7 +65,6 @@ from .protocol import (
     ProtocolBoundsReport,
     ProtocolResult,
     SwapTestResult,
-    WitnessState,
     check_protocol_bounds,
     honest_witness,
     run_protocol_exact,

@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Circuit, _apply_isometry, _environment_trace, compile_circuit, validate_circuit
+from .circuits import Circuit, _apply_isometry, _lift, compile_circuit, validate_circuit
 from .linalg import (
     DensityMatrix,
     PureState,
     maximally_entangled_state,
     operator_norm,
-    partial_trace,
     top_eigenpair,
     trace_norm,
 )
@@ -100,8 +99,7 @@ def apply_extended(ch: ChannelHandle, psi) -> DensityMatrix:
         raise ValueError(
             f"dimension mismatch: extended input needs dim {ch.dim_in ** 2}, got {psi.dim}"
         )
-    a = psi.amplitudes[:, None]
-    return DensityMatrix(_apply_isometry(_isometry(ch), a, a, ch.n_in))
+    return DensityMatrix.from_factor(_lift(_isometry(ch), psi.amplitudes[:, None], ch.n_in))
 
 
 def _check_cap(ch: ChannelHandle) -> None:
@@ -122,22 +120,14 @@ def _isometry(ch: ChannelHandle) -> np.ndarray:
     return ch._isometry
 
 
-@dataclass(eq=False)
-class ChoiMatrix:
-    """Channel applied to half of a maximally entangled input, normalized to
-    unit trace; lives on output (x) input."""
-
-    dim_in: int
-    dim_out: int
-    matrix: DensityMatrix
-
-
-def choi_of(ch: ChannelHandle) -> ChoiMatrix:
-    """Choi matrix of the channel, read off the compiled isometry: with M
-    the isometry as a d_env x (d_out d_in) matrix, it is M^T conj(M) / d_in.
-    Only reports read it, so it is formed anew on every call."""
-    j = _environment_trace(_isometry(ch)) / ch.dim_in
-    return ChoiMatrix(ch.dim_in, ch.dim_out, DensityMatrix(j))
+def choi_of(ch: ChannelHandle) -> DensityMatrix:
+    """Choi matrix of the channel on output (x) input, F F* for F = M^T /
+    sqrt(d_in) with M the isometry as a d_env x (d_out d_in) matrix. Only
+    reports read it, so it is formed anew on every call."""
+    v = _isometry(ch)
+    d_out, d_env, d_in = v.shape
+    f = v.transpose(0, 2, 1).reshape(d_out * d_in, d_env)
+    return DensityMatrix.from_factor(f / np.sqrt(d_in))
 
 
 def kraus_of(ch: ChannelHandle) -> np.ndarray:
@@ -351,7 +341,7 @@ def probe_epsilon(ch: ChannelHandle, seed: int = 0, n_random: int = 50) -> float
     iso = _isometry(ch)
     worst = 1.0
     for _, v in _probe_family(ch, seed, n_random):
-        out = DensityMatrix(_apply_isometry(iso, v[:, None], v[:, None]))
+        out = DensityMatrix.from_factor(_lift(iso, v[:, None]))
         worst = min(worst, operator_norm(out.matrix))
     return max(0.0, 1.0 - worst)
 
@@ -382,10 +372,10 @@ def extract_approx_isometry(
     d_in = ch.dim_in
     iso = _isometry(ch)
     basis_states = _basis_probe_states(d_in)
-    basis_out = [
-        DensityMatrix(_apply_isometry(iso, v[:, None], v[:, None])).matrix for v in basis_states
-    ]
-    norms = [operator_norm(m) for m in basis_out]
+    # On these PSD outputs the top eigenvalue is the operator norm.
+    norms, columns = zip(*(
+        top_eigenpair(DensityMatrix.from_factor(_lift(iso, v[:, None])).matrix) for v in basis_states
+    ))
     # The extended output on the maximally entangled state must also stay
     # nearly pure; it catches uniform mixers whose unextended basis outputs
     # sit exactly at the floor.
@@ -398,7 +388,6 @@ def extract_approx_isometry(
             f"channel is not near-isometric: probe output largest eigenvalue "
             f"{floor:.4f} < {NEAR_ISOMETRY_PROBE_FLOOR}"
         )
-    columns = [top_eigenpair(m)[1] for m in basis_out]
     phases = [1.0 + 0.0j]
     for i in range(1, d_in):
         x = _apply_isometry(iso, basis_states[0][:, None], basis_states[i][:, None])
@@ -426,8 +415,3 @@ def extract_approx_isometry(
     )
     return a, diag
 
-
-def choi_marginal(choi: ChoiMatrix) -> np.ndarray:
-    """Partial trace of the Choi matrix over the output factor; equals
-    I/dim_in exactly when the channel preserves trace."""
-    return partial_trace(choi.matrix.matrix, [choi.dim_out, choi.dim_in], keep=[1])

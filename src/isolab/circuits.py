@@ -476,7 +476,8 @@ def serialize_circuit(circuit: Circuit) -> str:
 # Every circuit is compiled once to a Stinespring isometry V, stored as an
 # array of shape (d_out, d_env, d_in), whose channel is
 # X -> sum_e V[:, e, :] X V[:, e, :]^*. Trace-outs and channel gates grow the
-# environment; everything else reads the channel off V.
+# environment; everything else reads the channel off V. The output on x x^*
+# is F F^* for the factor F = _lift(V, x), so it needs no validation.
 
 def _apply_stacked(w: np.ndarray, ops: np.ndarray, targets, n: int) -> np.ndarray:
     """Contract the stacked operators *ops*, shaped (r, 2^k, 2^k), into the
@@ -553,12 +554,15 @@ def compile_circuit(circuit: Circuit) -> np.ndarray:
     return np.ascontiguousarray(w.transpose(1, 0, 2))
 
 
-def _environment_trace(v: np.ndarray) -> np.ndarray:
-    """sum_e V[o, e, i] conj(V[o', e, i']) as a (d_out d_in)-square matrix
-    with rows (o, i) and columns (o', i'): d_in times the Choi matrix."""
+def _lift(v: np.ndarray, x: np.ndarray, n_ref: int = 0) -> np.ndarray:
+    """(V (x) I) x with the identity on *n_ref* trailing reference qubits,
+    as a (d_out 2^n_ref)-row matrix with V's environment in the columns:
+    for x with d_in 2^n_ref rows and k columns, rows (o, r) and columns
+    (e, j). It is a factor of the channel's output on x x^*."""
     d_out, d_env, d_in = v.shape
-    m = v.transpose(1, 0, 2).reshape(d_env, d_out * d_in)
-    return m.T @ m.conj()
+    d_ref = 2 ** n_ref
+    y = v.reshape(d_out * d_env, d_in) @ x.reshape(d_in, -1)
+    return y.reshape(d_out, d_env, d_ref, -1).transpose(0, 2, 1, 3).reshape(d_out * d_ref, -1)
 
 
 def _apply_isometry(v: np.ndarray, left: np.ndarray, right: np.ndarray, n_ref: int = 0) -> np.ndarray:
@@ -566,14 +570,7 @@ def _apply_isometry(v: np.ndarray, left: np.ndarray, right: np.ndarray, n_ref: i
     with the identity on *n_ref* trailing reference qubits. *left* and
     *right* have d_in 2^n_ref rows and k columns each, so a rank-one input
     such as a pure state costs one column."""
-    d_out, d_env, d_in = v.shape
-    d_ref = 2 ** n_ref
-
-    def lift(x):
-        y = v.reshape(d_out * d_env, d_in) @ x.reshape(d_in, -1)
-        return y.reshape(d_out, d_env, d_ref, -1).transpose(0, 2, 1, 3).reshape(d_out * d_ref, -1)
-
-    return lift(left) @ lift(right).conj().T
+    return _lift(v, left, n_ref) @ _lift(v, right, n_ref).conj().T
 
 
 def apply_circuit_matrix(circuit: Circuit, mat: np.ndarray, n_ref: int = 0) -> np.ndarray:

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import __version__
 from .channels import (
-    RANK_TOL,
     ChannelHandle,
     DimensionCapError,
     analyze_channel,
@@ -31,8 +30,8 @@ from .circuits import (
     serialize_circuit,
     validate_circuit,
 )
-from .linalg import DensityMatrix, PureState, purity_metrics
-from .protocol import WitnessState, honest_witness, run_protocol_exact, run_protocol_sampled
+from .linalg import PureState, purity_metrics
+from .protocol import honest_witness, run_protocol_exact, run_protocol_sampled
 from .reduction import build_instance, check_reduction, max_accept_prob, parse_verifier
 
 
@@ -169,18 +168,17 @@ def analyze(path, epsilon, restarts, seed):
 def choi(path):
     """Choi matrix payload: eigenvalues, rank, and entries."""
     ch = ChannelHandle(_load_circuit(path))
-    c = choi_of(ch)
-    w = np.linalg.eigvalsh(c.matrix.matrix)[::-1]
-    rank = int(np.count_nonzero(w > RANK_TOL))
+    j = choi_of(ch).matrix
+    w = np.linalg.eigvalsh(j)[::-1]
     _emit(
         "choi",
         {"path": path},
         {
-            "dim_in": c.dim_in,
-            "dim_out": c.dim_out,
-            "rank": rank,
+            "dim_in": ch.dim_in,
+            "dim_out": ch.dim_out,
+            "rank": len(kraus_of(ch)),
             "eigenvalues": [float(x) for x in w],
-            "matrix": _complex_payload(c.matrix.matrix),
+            "matrix": _complex_payload(j),
         },
     )
 
@@ -195,8 +193,12 @@ def kraus(path):
     flat = k.reshape(len(k), -1)
     # d_in max|J_Kraus - J| against the Choi matrix J of the compiled
     # circuit: the largest entry error of the Kraus set's output on any
-    # matrix unit |i><j| of the input.
-    residual = float(np.abs(flat.T @ flat.conj() - ch.dim_in * choi_of(ch).matrix.matrix).max())
+    # matrix unit |i><j| of the input. The difference is formed in place,
+    # as J_Kraus - J scaled by the power of two d_in, which is exact.
+    diff = flat.T @ flat.conj()
+    diff /= ch.dim_in
+    diff -= choi_of(ch).matrix
+    residual = ch.dim_in * float(np.abs(diff).max())
     gram = np.tensordot(k.conj(), k, axes=([0, 1], [0, 1]))
     _emit(
         "kraus",
@@ -228,7 +230,7 @@ def protocol(path, witness_kind, witness_file, psi_kind, psi_file, shots, restar
     if witness_kind == "file":
         if witness_file is None:
             raise ValueError("--witness file needs --witness-file")
-        witness = WitnessState(DensityMatrix(_load_matrix(witness_file)))
+        witness = _load_matrix(witness_file)
         psi_used = None
     else:
         if psi_kind == "file":

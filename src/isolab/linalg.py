@@ -11,6 +11,10 @@ Conventions used across the package:
 Tolerance policy: structural invariants (Hermiticity, trace, norms) are
 checked at 1e-9, algebraic identities are asserted at 1e-12 in the tests,
 and search outputs carry their own documented tolerances.
+
+A matrix from outside the program is validated in full, once, where it
+enters; states the program forms itself are built from a factor (see
+``DensityMatrix``).
 """
 
 from dataclasses import dataclass
@@ -150,25 +154,6 @@ def purity_metrics(rho) -> PurityMetrics:
     )
 
 
-def swap_operator(dim: int) -> np.ndarray:
-    """Swap of two *dim*-dimensional factors: |i,j> -> |j,i|>."""
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    w = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            w[i * dim + j, j * dim + i] = 1.0
-    return w
-
-
-def sym_antisym_projectors(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Projectors onto the symmetric and antisymmetric subspaces of two
-    *dim*-dimensional factors, ``(I + W)/2`` and ``(I - W)/2``."""
-    w = swap_operator(dim)
-    eye = np.eye(dim * dim, dtype=complex)
-    return (eye + w) / 2.0, (eye - w) / 2.0
-
-
 def maximally_entangled_state(dim: int) -> "PureState":
     """The state sum_i |ii> / sqrt(dim) on two *dim*-dimensional factors."""
     v = np.zeros(dim * dim, dtype=complex)
@@ -210,19 +195,19 @@ class PureState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
     def density(self) -> "DensityMatrix":
-        return DensityMatrix(self.projector())
+        return DensityMatrix.from_pure(self)
 
     def __repr__(self):
         return f"PureState(dim={self.dim})"
 
 
 class DensityMatrix:
-    """Validated density matrix: Hermitian, positive semidefinite, unit
-    trace.
-
-    Construction symmetrizes the input, clamps eigenvalues in
-    ``[-1e-9, 0)`` to zero and renormalizes the trace; larger violations
-    are rejected. The stored array is frozen.
+    """Density matrix: Hermitian, positive semidefinite, unit trace, stored
+    frozen. There are two ways in. The constructor validates a matrix from
+    outside the program in full: it symmetrizes the input, clamps
+    eigenvalues in ``[-1e-9, 0)`` to zero and renormalizes the trace;
+    larger violations are rejected. ``from_factor`` builds F F* from a
+    factor F, positive semidefinite by construction, and checks the trace.
     """
 
     __slots__ = ("matrix",)
@@ -257,13 +242,28 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     @classmethod
+    def from_factor(cls, f) -> "DensityMatrix":
+        """F F* / |F|_F^2 for a factor F with one row per basis state; the
+        squared norm |F|_F^2 = tr F F* must be within TRACE_TOL of one."""
+        f = np.asarray(f, dtype=complex)
+        tr = float(np.vdot(f, f).real)
+        if not abs(tr - 1.0) <= TRACE_TOL:
+            raise ValueError(f"density matrix trace {tr!r} is not 1")
+        f = f / np.sqrt(tr)
+        m = f @ f.conj().T
+        m.setflags(write=False)
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", m)
+        return rho
+
+    @classmethod
     def from_pure(cls, state) -> "DensityMatrix":
         state = state if isinstance(state, PureState) else PureState(state)
-        return cls(state.projector())
+        return cls.from_factor(state.amplitudes[:, None])
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim, dtype=complex) / dim)
+        return cls.from_factor(np.eye(dim, dtype=complex) / np.sqrt(dim))
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"

@@ -35,17 +35,6 @@ from .linalg import HERMITICITY_TOL, TRACE_TOL, DensityMatrix, PureState, as_mat
 PROB_FLOOR = 1e-12
 
 
-@dataclass(eq=False)
-class WitnessState:
-    """Witness density matrix on two copies of input (x) reference."""
-
-    state: DensityMatrix
-
-    @property
-    def dim(self) -> int:
-        return self.state.dim
-
-
 @dataclass
 class SwapTestResult:
     p_symmetric: float
@@ -114,26 +103,32 @@ class ProtocolResult:
     shots: ShotStats | None = None
 
 
-def honest_witness(ch: ChannelHandle, psi) -> WitnessState:
-    """Two unentangled copies of a pure extended input; such witnesses pass
-    the first swap test with probability one."""
+def honest_witness(ch: ChannelHandle, psi) -> DensityMatrix:
+    """Two unentangled copies of a pure extended input, as a density matrix;
+    such witnesses pass the first swap test with probability one."""
     psi = psi if isinstance(psi, PureState) else PureState(psi)
     if psi.dim != ch.dim_in ** 2:
         raise ValueError(
             f"dimension mismatch: witness halves need dim {ch.dim_in ** 2}, got {psi.dim}"
         )
-    v = np.kron(psi.amplitudes, psi.amplitudes)
-    return WitnessState(DensityMatrix.from_pure(PureState(v)))
+    return DensityMatrix.from_pure(np.kron(psi.amplitudes, psi.amplitudes))
 
 
 def _coerce_witness(ch: ChannelHandle, witness) -> DensityMatrix:
-    dm = witness.state if isinstance(witness, WitnessState) else DensityMatrix(witness)
+    """The witness as a density matrix. An array is validated in full only
+    after its shape and the protocol cap are checked."""
+    m = as_matrix(witness)
     needed = ch.dim_in ** 4
-    if dm.dim != needed:
+    if m.shape != (needed, needed):
         raise ValueError(
-            f"dimension mismatch: witness needs dim {needed}, got {dm.dim}"
+            f"dimension mismatch: witness needs dim {needed}, got {m.shape[0]}x{m.shape[1]}"
         )
-    return dm
+    cap = max_total_dim()
+    if needed > cap or (ch.dim_out * ch.dim_in) ** 2 > cap:
+        raise DimensionCapError(
+            f"protocol dimension exceeds the cap of {cap} (set ISOLAB_MAX_DIM to override)"
+        )
+    return witness if isinstance(witness, DensityMatrix) else DensityMatrix(m)
 
 
 def _parallel_extended_output(ch: ChannelHandle, mat: np.ndarray) -> np.ndarray:
@@ -172,7 +167,8 @@ def _check_two_copy_output(sigma: np.ndarray) -> None:
 
 
 def run_protocol_exact(ch: ChannelHandle, witness) -> ProtocolResult:
-    """Exact outcome probabilities of the two swap tests.
+    """Exact outcome probabilities of the two swap tests on a witness given
+    as a DensityMatrix or as an array, which is validated in full.
 
     Step 1 projects the witness onto the symmetric subspace (rejecting on
     the antisymmetric outcome), step 2 applies the extended channel to
@@ -181,12 +177,6 @@ def run_protocol_exact(ch: ChannelHandle, witness) -> ProtocolResult:
     conditional step-3 antisymmetric probability.
     """
     dm = _coerce_witness(ch, witness)
-    cap = max_total_dim()
-    out_dim = (ch.dim_out * ch.dim_in) ** 2
-    if dm.dim > cap or out_dim > cap:
-        raise DimensionCapError(
-            f"protocol dimension exceeds the cap of {cap} (set ISOLAB_MAX_DIM to override)"
-        )
     d_half = ch.dim_in ** 2
     p1, _ = _swap_probabilities(dm.matrix, d_half)
     if p1 < PROB_FLOOR:
@@ -228,7 +218,7 @@ def _swap_halves(v: np.ndarray, d: int) -> np.ndarray:
 
 def symmetric_witness_family(
     ch: ChannelHandle, n_random: int = 20, seed: int = 0
-) -> list[WitnessState]:
+) -> list[DensityMatrix]:
     """Seeded family of symmetric witnesses: honest two-copy witnesses over
     the full computational basis of input (x) reference, plus random pure
     states projected onto the symmetric subspace."""
@@ -242,7 +232,7 @@ def symmetric_witness_family(
         norm = np.linalg.norm(v)
         if norm < 1e-8:
             continue
-        family.append(WitnessState(DensityMatrix.from_pure(PureState(v / norm))))
+        family.append(DensityMatrix.from_pure(v / norm))
     return family
 
 

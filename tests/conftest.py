@@ -21,7 +21,6 @@ from isolab import (
     depolarize_gate,
     gate,
     maximally_entangled_state,
-    swap_operator,
     unitary_gate,
 )
 from isolab.channels import RANK_TOL
@@ -61,6 +60,21 @@ def compile_calls(monkeypatch):
     import isolab.circuits as circuits
 
     return _call_log(monkeypatch, circuits.compile_circuit)
+
+
+@pytest.fixture
+def full_validations(monkeypatch):
+    """Matrices passed to ``DensityMatrix.__init__``, the full validation,
+    while the test runs."""
+    calls = []
+    real = DensityMatrix.__init__
+
+    def counting(self, matrix):
+        calls.append(matrix)
+        real(self, matrix)
+
+    monkeypatch.setattr(DensityMatrix, "__init__", counting)
+    return calls
 
 
 def random_pure(rng, dim):
@@ -397,6 +411,24 @@ def isometry_oracle(circuit):
                 n += 1
         cols.append(v)
     return np.stack(cols, axis=1)
+
+
+def swap_operator(dim):
+    """Swap of two *dim*-dimensional factors, |i,j> -> |j,i>, as an explicit
+    matrix."""
+    w = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            w[i * dim + j, j * dim + i] = 1.0
+    return w
+
+
+def sym_antisym_projectors(dim):
+    """Explicit projectors (I + W)/2 and (I - W)/2 onto the symmetric and
+    antisymmetric subspaces of two *dim*-dimensional factors."""
+    w = swap_operator(dim)
+    eye = np.eye(dim * dim, dtype=complex)
+    return (eye + w) / 2.0, (eye - w) / 2.0
 
 
 def circuit_swap_test_probs(rho, d):

@@ -103,7 +103,7 @@ def test_rank_one_choi_iff_isometric_kraus_iff_unit_min_opnorm():
     disagreements = 0
     for circ in circuits:
         ch = ChannelHandle(circ)
-        rank_one = choi_rank_oracle(choi_of(ch).matrix.matrix) == 1
+        rank_one = choi_rank_oracle(choi_of(ch).matrix) == 1
         ops = kraus_of(ch)
         if len(ops) == 1:
             a = ops[0]

@@ -278,7 +278,7 @@ class TestCompiledIsometry:
     @settings(max_examples=60)
     @given(circuit=mixed_circuits())
     def test_choi_matches_density_oracle(self, circuit):
-        got = choi_of(ChannelHandle(circuit)).matrix.matrix
+        got = choi_of(ChannelHandle(circuit)).matrix
         assert np.abs(got - choi_oracle(circuit)).max() <= 1e-12
 
     @settings(max_examples=40)
@@ -296,7 +296,7 @@ class TestCompiledIsometry:
         assert v.shape == (2, 4, 2)
         m = v.reshape(-1, 2)
         assert np.abs(m.conj().T @ m - np.eye(2)).max() <= 1e-12
-        got = choi_of(ChannelHandle(circuit)).matrix.matrix
+        got = choi_of(ChannelHandle(circuit)).matrix
         assert np.abs(got - choi_oracle(circuit)).max() <= 1e-12
         assert np.abs(got - np.eye(4) / 4).max() <= 1e-12
 
@@ -317,7 +317,7 @@ class TestCompiledIsometry:
         assert peak <= 10 * choi_bytes
         m = v.reshape(-1, 16)
         assert np.abs(m.conj().T @ m - np.eye(16)).max() <= 1e-12
-        got = choi_of(ChannelHandle(circuit)).matrix.matrix
+        got = choi_of(ChannelHandle(circuit)).matrix
         assert np.abs(got - choi_oracle(circuit)).max() <= 1e-12
 
     def test_traceout_moves_qubit_to_environment(self):

@@ -191,6 +191,19 @@ class TestProtocol:
         )
         assert res.exit_code == 2
 
+    def test_witness_file_mismatch_not_validated(self, runner, tmp_path, full_validations):
+        # The shape is checked on the loaded array, before the eigh of a
+        # full validation.
+        path = write(tmp_path, "c.circuit", DEPOLARIZER)
+        rows = [" ".join("0.03125+0i" if i == j else "0+0i" for j in range(32)) for i in range(32)]
+        witness = write(tmp_path, "w.matrix", "\n".join(rows) + "\n")
+        res = runner.invoke(
+            main, ["protocol", path, "--witness", "file", "--witness-file", witness]
+        )
+        assert res.exit_code == 2
+        assert "dimension mismatch" in res.output
+        assert full_validations == []
+
     def test_witness_file_accepted(self, runner, tmp_path):
         path = write(tmp_path, "c.circuit", DEPOLARIZER)
         rows = []

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     partial_trace_oracle,
@@ -7,6 +9,8 @@ from conftest import (
     random_density,
     random_hermitian,
     random_pure,
+    swap_operator,
+    sym_antisym_projectors,
     tensor_oracle,
 )
 from isolab import (
@@ -17,10 +21,9 @@ from isolab import (
     operator_norm,
     partial_trace,
     purity_metrics,
-    swap_operator,
-    sym_antisym_projectors,
     trace_norm,
 )
+from isolab.protocol import _project, _swap_probabilities
 
 
 class TestTensor:
@@ -202,25 +205,36 @@ class TestPurityMetrics:
 
 
 class TestProjectors:
+    """The protocol's matrix-free swap test against the explicit swap
+    operator and projectors of the oracle."""
+
     def test_qubit_antisymmetric_rank_one(self):
         _, p_minus = sym_antisym_projectors(2)
-        assert np.linalg.matrix_rank(p_minus) == 1
+        got = _project(np.eye(4, dtype=complex), 2, -1.0)
+        assert np.abs(got - p_minus).max() < 1e-12
+        assert np.linalg.matrix_rank(got) == 1
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_subspace_dimensions(self, dim):
-        p_plus, p_minus = sym_antisym_projectors(dim)
-        assert round(float(np.real(np.trace(p_plus)))) == dim * (dim + 1) // 2
-        assert round(float(np.real(np.trace(p_minus)))) == dim * (dim - 1) // 2
+        p_sym, p_anti = _swap_probabilities(np.eye(dim * dim, dtype=complex) / dim ** 2, dim)
+        assert p_sym * dim ** 2 == pytest.approx(dim * (dim + 1) // 2, abs=1e-12)
+        assert p_anti * dim ** 2 == pytest.approx(dim * (dim - 1) // 2, abs=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_projector_algebra(self, dim):
         p_plus, p_minus = sym_antisym_projectors(dim)
-        eye = np.eye(dim * dim)
-        for p in (p_plus, p_minus):
-            assert np.abs(p - p.conj().T).max() < 1e-12
-            assert np.abs(p @ p - p).max() < 1e-12
-        assert np.abs(p_plus + p_minus - eye).max() < 1e-12
-        assert np.abs(p_plus @ p_minus).max() < 1e-12
+        rng = np.random.default_rng(20 + dim)
+        dd = dim * dim
+        m = rng.normal(size=(dd, dd)) + 1j * rng.normal(size=(dd, dd))
+        plus, minus = _project(m, dim, 1.0), _project(m, dim, -1.0)
+        assert np.abs(plus - p_plus @ m @ p_plus).max() < 1e-12
+        assert np.abs(minus - p_minus @ m @ p_minus).max() < 1e-12
+        assert np.abs(_project(plus, dim, 1.0) - plus).max() < 1e-12
+        assert np.abs(_project(plus, dim, -1.0)).max() < 1e-12
+        rho = random_density(rng, dd).matrix
+        p_sym, p_anti = _swap_probabilities(rho, dim)
+        assert p_sym == pytest.approx(float(np.real(np.trace(p_plus @ rho))), abs=1e-12)
+        assert p_anti == pytest.approx(float(np.real(np.trace(p_minus @ rho))), abs=1e-12)
 
     def test_swap_operator_action(self):
         w = swap_operator(3)
@@ -228,6 +242,48 @@ class TestProjectors:
         a = random_pure(rng, 3).amplitudes
         b = random_pure(rng, 3).amplitudes
         assert np.abs(w @ np.kron(a, b) - np.kron(b, a)).max() < 1e-12
+        ab = np.outer(np.kron(a, b), np.kron(a, b).conj())
+        assert _swap_probabilities(ab, 3)[1] == pytest.approx(
+            (1 - abs(np.vdot(a, b)) ** 2) / 2, abs=1e-12
+        )
+
+
+class TestFromFactor:
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        dim=st.integers(2, 8),
+        width=st.sampled_from(["k < D", "k = D", "k > D"]),
+    )
+    def test_matches_full_validation(self, seed, dim, width):
+        rng = np.random.default_rng(seed)
+        k = {"k < D": int(rng.integers(1, dim)), "k = D": dim, "k > D": int(rng.integers(dim + 1, 2 * dim + 1))}[width]
+        f = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
+        f /= np.linalg.norm(f)
+        rho = DensityMatrix.from_factor(f)
+        assert np.abs(rho.matrix - DensityMatrix(f @ f.conj().T).matrix).max() <= 1e-12
+        assert np.abs(rho.matrix - rho.matrix.conj().T).max() <= 1e-14
+        assert not rho.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 0.0
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix.from_factor(f * np.sqrt(1.0 + 1e-6))
+        bad = f.copy()
+        bad[int(rng.integers(dim)), int(rng.integers(k))] = np.nan
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix.from_factor(bad)
+
+    def test_infinite_entry_rejected(self):
+        f = np.array([[np.inf], [0.0]])
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix.from_factor(f)
+
+    def test_skips_full_validation(self, full_validations):
+        rng = np.random.default_rng(23)
+        DensityMatrix.from_pure(random_pure(rng, 4))
+        DensityMatrix.maximally_mixed(4)
+        random_pure(rng, 4).density()
+        assert full_validations == []
 
 
 class TestDensityMatrixValidation:

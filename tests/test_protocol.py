@@ -18,16 +18,18 @@ from isolab import (
     ChannelGate,
     ChannelHandle,
     Circuit,
+    DimensionCapError,
     DensityMatrix,
     PureState,
     TraceOut,
-    WitnessState,
     append_output_depolarizing,
+    apply_extended,
     check_protocol_bounds,
     choi_of,
     honest_witness,
     maximally_entangled_state,
     parse_circuit,
+    probe_epsilon,
     run_protocol_exact,
     run_protocol_sampled,
     swap_test,
@@ -102,7 +104,7 @@ class TestHonestWitness:
         ch = handle(DEPOLARIZER)
         w = honest_witness(ch, maximally_entangled_state(2))
         assert w.dim == 16
-        m = w.state.matrix
+        m = w.matrix
         t = m.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
         assert np.abs(m - t).max() < 1e-12
 
@@ -110,7 +112,7 @@ class TestHonestWitness:
         rng = np.random.default_rng(64)
         ch = handle(COPY)
         w = honest_witness(ch, random_pure(rng, 4))
-        assert swap_test(w.state).p_symmetric == pytest.approx(1.0, abs=1e-12)
+        assert swap_test(w).p_symmetric == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -123,7 +125,7 @@ class TestProtocolExact:
         ch = handle(COPY)
         for w in [
             honest_witness(ch, random_pure(rng, 4)),
-            WitnessState(random_density(rng, 16)),
+            random_density(rng, 16),
         ]:
             res = run_protocol_exact(ch, w)
             assert res.p_accept <= 1e-9
@@ -140,7 +142,7 @@ class TestProtocolExact:
         for _ in range(10):
             circ = random_circuit(rng, max_in=1, max_total=3)
             ch = ChannelHandle(circ)
-            w = WitnessState(random_density(rng, 16))
+            w = random_density(rng, 16)
             res = run_protocol_exact(ch, w)
             assert -1e-9 <= res.p_accept <= 1 + 1e-9
             assert res.p_accept == pytest.approx(
@@ -149,7 +151,7 @@ class TestProtocolExact:
 
     def test_witness_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            run_protocol_exact(handle(DEPOLARIZER), WitnessState(DensityMatrix.maximally_mixed(8)))
+            run_protocol_exact(handle(DEPOLARIZER), DensityMatrix.maximally_mixed(8))
 
     def test_small_symmetric_weight(self):
         # A witness with symmetric weight 1e-9: rounding in the symmetric
@@ -165,8 +167,8 @@ class TestProtocolExact:
         anti, sym = halves_vector(-1.0), halves_vector(1.0)
         eps = 1e-9
         rho = (1 - eps) * np.outer(anti, anti.conj()) + eps * np.outer(sym, sym.conj())
-        res = run_protocol_exact(ch, WitnessState(DensityMatrix(rho)))
-        p3 = run_protocol_exact(ch, WitnessState(DensityMatrix.from_pure(PureState(sym))))
+        res = run_protocol_exact(ch, DensityMatrix(rho))
+        p3 = run_protocol_exact(ch, DensityMatrix.from_pure(PureState(sym)))
         assert res.p_step1_symmetric == pytest.approx(eps, rel=1e-5)
         assert res.p_accept == pytest.approx(eps * p3.p_step3_antisymmetric_given_step1, abs=1e-12)
 
@@ -174,7 +176,7 @@ class TestProtocolExact:
         vec = np.zeros(16, dtype=complex)
         vec[1] = 1 / np.sqrt(2)   # |01> of the two copies
         vec[4] = -1 / np.sqrt(2)  # -|10>
-        res = run_protocol_exact(handle(DEPOLARIZER), WitnessState(DensityMatrix.from_pure(PureState(vec))))
+        res = run_protocol_exact(handle(DEPOLARIZER), DensityMatrix.from_pure(PureState(vec)))
         assert res.p_step1_symmetric <= 1e-12
         assert res.p_accept == 0.0
 
@@ -211,7 +213,7 @@ class TestParallelExtendedOutput:
         circ, ops = kraus_channel(rng, n_in, shape, rank)
         ch = ChannelHandle(circ)
         assert ch.dim_in != ch.dim_out
-        assert choi_rank_oracle(choi_of(ch).matrix.matrix) == channel_rank
+        assert choi_rank_oracle(choi_of(ch).matrix) == channel_rank
         d4 = ch.dim_in ** 4
         arbitrary = rng.normal(size=(d4, d4)) + 1j * rng.normal(size=(d4, d4))
         for mat in (random_density(rng, d4).matrix, arbitrary):
@@ -229,13 +231,13 @@ class TestParallelExtendedOutput:
         d_half = ch.dim_in ** 2
         witnesses = [
             random_density(rng, d_half ** 2),
-            honest_witness(ch, random_pure(rng, d_half)).state,
+            honest_witness(ch, random_pure(rng, d_half)),
         ]
         for w in witnesses:
             step1 = swap_test(w)
             sigma = parallel_extended_output_oracle(ops, step1.post_symmetric.matrix, ch.dim_in)
             p3 = swap_test(sigma).p_antisymmetric
-            res = run_protocol_exact(ch, WitnessState(w))
+            res = run_protocol_exact(ch, w)
             assert res.p_step1_symmetric == pytest.approx(step1.p_symmetric, abs=1e-12)
             assert res.p_step3_antisymmetric_given_step1 == pytest.approx(p3, abs=1e-12)
             assert res.p_accept == pytest.approx(step1.p_symmetric * p3, abs=1e-12)
@@ -247,7 +249,7 @@ class TestParallelExtendedOutput:
         # output has dimension (d_out d_in)^2 <= 1024.
         rng = np.random.default_rng(seed)
         ch = ChannelHandle(random_circuit(rng, max_in=2, max_total=3))
-        ops = kraus_from_choi_oracle(choi_of(ch).matrix.matrix, ch.dim_in, rank_tol=0.0)
+        ops = kraus_from_choi_oracle(choi_of(ch).matrix, ch.dim_in, rank_tol=0.0)
         mat = random_density(rng, ch.dim_in ** 4).matrix
         expected = parallel_extended_output_oracle(ops, mat, ch.dim_in)
         assert np.abs(_parallel_extended_output(ch, mat) - expected).max() <= 1e-12
@@ -314,7 +316,7 @@ class TestSymmetricFamily:
         fam = symmetric_witness_family(ch, n_random=6, seed=8)
         assert len(fam) == 4 + 6
         for w in fam:
-            assert swap_test(w.state).p_symmetric == pytest.approx(1.0, abs=1e-9)
+            assert swap_test(w).p_symmetric == pytest.approx(1.0, abs=1e-9)
 
     def test_isometry_step3_never_antisymmetric(self):
         ch = handle(COPY)
@@ -349,3 +351,34 @@ class TestProtocolBounds:
         assert rep.soundness.epsilon_source == "probes"
         assert rep.soundness.holds
         assert rep.soundness.max_p_accept <= 9 * rep.soundness.epsilon_used + 1e-6
+
+
+class TestTrustBoundary:
+    def test_internal_states_skip_full_validation(self, full_validations):
+        rng = np.random.default_rng(90)
+        ch = ChannelHandle(append_output_depolarizing(parse_circuit(COPY), 0.1))
+        choi_of(ch)
+        apply_extended(ch, random_pure(rng, 4))
+        probe_epsilon(ch, n_random=3)
+        run_protocol_exact(ch, honest_witness(ch, random_pure(rng, 4)))
+        for w in symmetric_witness_family(ch, n_random=2, seed=1):
+            run_protocol_exact(ch, w)
+        assert full_validations == []
+
+    def test_array_witness_validated_in_full(self, full_validations):
+        rng = np.random.default_rng(91)
+        w = random_density(rng, 16).matrix
+        full_validations.clear()
+        run_protocol_exact(handle(DEPOLARIZER), w)
+        assert len(full_validations) == 1
+
+    def test_mismatched_witness_fails_before_validation(self, full_validations):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            run_protocol_exact(handle(DEPOLARIZER), np.eye(64) / 64)
+        assert full_validations == []
+
+    def test_over_cap_witness_fails_before_validation(self, full_validations, monkeypatch):
+        monkeypatch.setenv("ISOLAB_MAX_DIM", "8")
+        with pytest.raises(DimensionCapError):
+            run_protocol_exact(handle(DEPOLARIZER), np.eye(16) / 16)
+        assert full_validations == []
