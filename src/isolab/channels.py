@@ -4,20 +4,29 @@ A circuit defines a channel; its handle compiles it once to the
 Stinespring isometry V (see ``circuits.compile_circuit``) and derives
 everything else from V: the minimal Kraus set, from the Gram matrix of
 V's environment, and every channel output. The Choi matrix is read off V
-for reports only. This module tests whether the channel is an exact
-isometry (Kraus rank one with A*A = I), and searches for the most mixing
-pure input of the reference-extended channel. The reference space always
-has the dimension of the input space, which suffices for the rank
+for the ``choi`` report only. This module tests whether the channel is an
+exact isometry (Kraus rank one with A*A = I), and searches for the most
+mixing pure input of the reference-extended channel. The reference space
+always has the dimension of the input space, which suffices for the rank
 criterion.
 """
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Circuit, _apply_isometry, _lift, compile_circuit, validate_circuit
+from .circuits import (
+    DEFAULT_MAX_DIM,
+    Circuit,
+    DimensionCapError,
+    _apply_isometry,
+    _lift,
+    compile_circuit,
+    max_total_dim,
+    validate_circuit,
+)
 from .linalg import (
+    TOL,
     DensityMatrix,
     PureState,
     maximally_entangled_state,
@@ -26,35 +35,14 @@ from .linalg import (
     trace_norm,
 )
 
-DEFAULT_MAX_DIM = 2 ** 12
 RANK_TOL = 1e-7
-ISOMETRY_TOL = 1e-9
 MAX_SEARCH_DIM_IN = 16
 NEAR_ISOMETRY_PROBE_FLOOR = 0.5
-
-
-class DimensionCapError(RuntimeError):
-    """Raised when a computation would exceed the total dimension cap."""
 
 
 class NotNearIsometryError(ValueError):
     """Raised when isometry extraction is asked of a channel whose basis
     probes come out too mixed."""
-
-
-def max_total_dim() -> int:
-    """Dimension cap for dense computations; the ISOLAB_MAX_DIM environment
-    variable overrides the default of 4096 at the user's risk."""
-    raw = os.environ.get("ISOLAB_MAX_DIM")
-    if not raw:
-        return DEFAULT_MAX_DIM
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"ISOLAB_MAX_DIM must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"ISOLAB_MAX_DIM must be at least 1, got {cap}")
-    return cap
 
 
 @dataclass(eq=False)
@@ -123,7 +111,7 @@ def _isometry(ch: ChannelHandle) -> np.ndarray:
 def choi_of(ch: ChannelHandle) -> DensityMatrix:
     """Choi matrix of the channel on output (x) input, F F* for F = M^T /
     sqrt(d_in) with M the isometry as a d_env x (d_out d_in) matrix. Only
-    reports read it, so it is formed anew on every call."""
+    the ``choi`` report reads it, so it is formed anew on every call."""
     v = _isometry(ch)
     d_out, d_env, d_in = v.shape
     f = v.transpose(0, 2, 1).reshape(d_out * d_in, d_env)
@@ -167,7 +155,7 @@ def exact_isometry_test(ch: ChannelHandle) -> ExactIsometryResult:
         return ExactIsometryResult(rank, False, None)
     a = ops[0].copy()  # must not alias the handle's cached Kraus tensor
     defect = float(np.abs(a.conj().T @ a - np.eye(ch.dim_in)).max())
-    if defect > ISOMETRY_TOL:
+    if defect > TOL:
         return ExactIsometryResult(rank, False, None)
     return ExactIsometryResult(rank, True, a)
 

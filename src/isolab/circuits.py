@@ -26,15 +26,15 @@ Complex literals are written ``a+bi`` with decimal ``a`` and ``b``
 matrices round-trip exactly.
 """
 
+import os
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DensityMatrix
+from .linalg import TOL, DensityMatrix
 
-UNITARITY_TOL = 1e-9
-KRAUS_TOL = 1e-9
+DEFAULT_MAX_DIM = 2 ** 12
 
 _S2 = 1.0 / np.sqrt(2.0)
 
@@ -61,6 +61,25 @@ for _m in BUILTIN_UNITARIES.values():
 CHANNEL_NAMES = ("depolarize", "dephase", "cdepolarize")
 
 
+class DimensionCapError(RuntimeError):
+    """Raised when a computation would exceed the total dimension cap."""
+
+
+def max_total_dim() -> int:
+    """Dimension cap for dense computations; the ISOLAB_MAX_DIM environment
+    variable overrides the default of 4096 at the user's risk."""
+    raw = os.environ.get("ISOLAB_MAX_DIM")
+    if not raw:
+        return DEFAULT_MAX_DIM
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"ISOLAB_MAX_DIM must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ValueError(f"ISOLAB_MAX_DIM must be at least 1, got {cap}")
+    return cap
+
+
 class CircuitParseError(Exception):
     """Parse or validation failure, carrying the 1-based source line."""
 
@@ -74,17 +93,10 @@ class CircuitParseError(Exception):
 # Kraus sets of the named channels
 # ---------------------------------------------------------------------------
 
-def _unit_matrix(i: int, j: int, dim: int) -> np.ndarray:
-    m = np.zeros((dim, dim), dtype=complex)
-    m[i, j] = 1.0
-    return m
-
-
-def depolarizing_kraus(dim: int) -> list[np.ndarray]:
+def depolarizing_kraus(dim: int) -> np.ndarray:
     """Kraus operators |i><j| / sqrt(dim) of the uniform mixing channel
-    rho -> tr(rho) I/dim."""
-    s = 1.0 / np.sqrt(dim)
-    return [s * _unit_matrix(i, j, dim) for i in range(dim) for j in range(dim)]
+    rho -> tr(rho) I/dim, stacked as (dim^2, dim, dim)."""
+    return np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim) / np.sqrt(dim)
 
 
 def dephasing_kraus() -> list[np.ndarray]:
@@ -92,19 +104,13 @@ def dephasing_kraus() -> list[np.ndarray]:
     return [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
 
 
-def controlled_depolarizing_kraus(dim: int) -> list[np.ndarray]:
+def controlled_depolarizing_kraus(dim: int) -> np.ndarray:
     """Kraus operators of the qubit-controlled uniform mixing channel on a
-    *dim*-dimensional target: identity when the control is |0>, complete
-    mixing when it is |1>."""
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    ops = [np.kron(p0, np.eye(dim, dtype=complex))]
-    s = 1.0 / np.sqrt(dim)
-    ops += [
-        np.kron(p1, s * _unit_matrix(i, j, dim))
-        for i in range(dim)
-        for j in range(dim)
-    ]
+    *dim*-dimensional target, stacked: identity when the control is |0>,
+    complete mixing when it is |1>."""
+    ops = np.zeros((dim * dim + 1, 2 * dim, 2 * dim), dtype=complex)
+    ops[0, :dim, :dim] = np.eye(dim)
+    ops[1:, dim:, dim:] = depolarizing_kraus(dim)
     return ops
 
 
@@ -192,8 +198,21 @@ def unitary_gate(matrix, *targets: int) -> UnitaryGate:
     return UnitaryGate("umatrix", tuple(targets), np.asarray(matrix, dtype=complex))
 
 
+def _check_kraus_cap(name: str, count: int, dim: int) -> None:
+    """Refuse a Kraus tensor of *count* operators of *dim* x *dim* above
+    max_total_dim()**2 entries, the largest dense matrix the cap admits."""
+    entries, cap = count * dim * dim, max_total_dim()
+    if entries > cap * cap:
+        raise DimensionCapError(
+            f"{name} needs a Kraus tensor of {entries} complex entries ({16 * entries} bytes), "
+            f"over the cap of {cap}**2 (set ISOLAB_MAX_DIM to override)"
+        )
+
+
 def depolarize_gate(*targets: int) -> ChannelGate:
-    return ChannelGate("depolarize", tuple(targets), tuple(depolarizing_kraus(2 ** len(targets))))
+    dim = 2 ** len(targets)
+    _check_kraus_cap("depolarize", dim * dim, dim)
+    return ChannelGate("depolarize", tuple(targets), depolarizing_kraus(dim))
 
 
 def dephase_gate(target: int) -> ChannelGate:
@@ -202,8 +221,9 @@ def dephase_gate(target: int) -> ChannelGate:
 
 def cdepolarize_gate(control: int, *targets: int) -> ChannelGate:
     """Controlled mixing gate; the control qubit is the first stored target."""
-    kraus = controlled_depolarizing_kraus(2 ** len(targets))
-    return ChannelGate("cdepolarize", (control,) + tuple(targets), tuple(kraus))
+    dim = 2 ** len(targets)
+    _check_kraus_cap("cdepolarize", dim * dim + 1, 2 * dim)
+    return ChannelGate("cdepolarize", (control,) + tuple(targets), controlled_depolarizing_kraus(dim))
 
 
 @dataclass(eq=False)
@@ -213,13 +233,7 @@ class Circuit:
 
     @property
     def output_qubits(self) -> int:
-        n = self.input_qubits
-        for g in self.gates:
-            if isinstance(g, AddAncilla):
-                n += 1
-            elif isinstance(g, TraceOut):
-                n -= 1
-        return n
+        return self.qubit_counts()[-1]
 
     def qubit_counts(self) -> list[int]:
         """Register sizes after each gate, starting from the input count."""
@@ -343,7 +357,7 @@ def _parse_gate_line(tokens: list[str], lineno: int, count: int):
         m = np.array(values, dtype=complex).reshape(dim, dim)
         if not np.all(np.isfinite(m)):
             raise CircuitParseError(lineno, "matrix entries must be finite")
-        if float(np.abs(m.conj().T @ m - np.eye(dim)).max()) > UNITARITY_TOL:
+        if float(np.abs(m.conj().T @ m - np.eye(dim)).max()) > TOL:
             raise CircuitParseError(lineno, "non-unitary gate")
         _check_targets(targets, count, lineno)
         return UnitaryGate("umatrix", targets, m, line=lineno), count
@@ -411,7 +425,7 @@ def validate_circuit(circuit: Circuit) -> None:
                 )
             if not np.all(np.isfinite(g.matrix)):
                 raise CircuitParseError(line, "matrix entries must be finite")
-            if float(np.abs(g.matrix.conj().T @ g.matrix - np.eye(dim)).max()) > UNITARITY_TOL:
+            if float(np.abs(g.matrix.conj().T @ g.matrix - np.eye(dim)).max()) > TOL:
                 raise CircuitParseError(line, "non-unitary gate")
             _check_targets(g.targets, count, line)
         elif isinstance(g, ChannelGate):
@@ -425,7 +439,7 @@ def validate_circuit(circuit: Circuit) -> None:
                         line, f"Kraus operators must be {dim}x{dim} for {len(g.targets)} target(s)"
                     )
                 acc += k.conj().T @ k
-            if float(np.abs(acc - np.eye(dim)).max()) > KRAUS_TOL:
+            if float(np.abs(acc - np.eye(dim)).max()) > TOL:
                 raise CircuitParseError(line, "not trace preserving")
             _check_targets(g.targets, count, line)
         elif isinstance(g, AddAncilla):

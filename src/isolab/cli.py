@@ -18,6 +18,7 @@ from . import __version__
 from .channels import (
     ChannelHandle,
     DimensionCapError,
+    _isometry,
     analyze_channel,
     apply_extended,
     choi_of,
@@ -27,6 +28,7 @@ from .channels import (
 from .circuits import (
     CircuitParseError,
     parse_circuit,
+    parse_complex,
     serialize_circuit,
     validate_circuit,
 )
@@ -76,32 +78,20 @@ def _load_circuit(path: str):
         return parse_circuit(fh.read())
 
 
-def _parse_state_tokens(text: str) -> list[complex]:
-    from .circuits import parse_complex
-
-    values = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        for tok in line.split():
-            values.append(parse_complex(tok))
-    return values
+def _load_rows(path: str) -> list[list[complex]]:
+    """The complex literals of a text file, one list per non-blank line;
+    ``#`` starts a comment."""
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = ([parse_complex(tok) for tok in raw.split("#", 1)[0].split()] for raw in fh)
+        return [row for row in rows if row]
 
 
 def _load_state(path: str) -> PureState:
-    with open(path, "r", encoding="utf-8") as fh:
-        return PureState(np.array(_parse_state_tokens(fh.read()), dtype=complex))
+    return PureState(np.array([z for row in _load_rows(path) for z in row], dtype=complex))
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    from .circuits import parse_complex
-
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            rows.append([parse_complex(tok) for tok in line.split()])
+    rows = _load_rows(path)
     if not rows or any(len(r) != len(rows) for r in rows):
         raise ValueError(f"matrix file {path} is not square")
     return np.array(rows, dtype=complex)
@@ -168,8 +158,13 @@ def analyze(path, epsilon, restarts, seed):
 def choi(path):
     """Choi matrix payload: eigenvalues, rank, and entries."""
     ch = ChannelHandle(_load_circuit(path))
-    j = choi_of(ch).matrix
-    w = np.linalg.eigvalsh(j)[::-1]
+    v = _isometry(ch)
+    d_out, d_env, d_in = v.shape
+    # The nonzero Choi spectrum is that of the environment Gram matrix M M*
+    # over d_in, with M the isometry as a d_env x (d_out d_in) matrix.
+    m = v.transpose(1, 0, 2).reshape(d_env, d_out * d_in)
+    w = np.linalg.eigvalsh(m @ m.conj().T) / d_in
+    w = np.sort(np.concatenate([w, np.zeros(d_out * d_in - d_env)]))[::-1]
     _emit(
         "choi",
         {"path": path},
@@ -178,7 +173,7 @@ def choi(path):
             "dim_out": ch.dim_out,
             "rank": len(kraus_of(ch)),
             "eigenvalues": [float(x) for x in w],
-            "matrix": _complex_payload(j),
+            "matrix": _complex_payload(choi_of(ch).matrix),
         },
     )
 
@@ -190,15 +185,13 @@ def kraus(path):
     """Minimal Kraus operators and the reconstruction residual."""
     ch = ChannelHandle(_load_circuit(path))
     k = kraus_of(ch)
-    flat = k.reshape(len(k), -1)
     # d_in max|J_Kraus - J| against the Choi matrix J of the compiled
     # circuit: the largest entry error of the Kraus set's output on any
-    # matrix unit |i><j| of the input. The difference is formed in place,
-    # as J_Kraus - J scaled by the power of two d_in, which is exact.
-    diff = flat.T @ flat.conj()
-    diff /= ch.dim_in
-    diff -= choi_of(ch).matrix
-    residual = ch.dim_in * float(np.abs(diff).max())
+    # matrix unit |i><j|. d_in (J - J_Kraus) is the Choi part of the
+    # environment directions the Kraus set drops, positive semidefinite, so
+    # its largest entry lies on its diagonal: a difference of column weights.
+    weights = np.sum(np.abs(_isometry(ch)) ** 2, axis=1)
+    residual = float(np.abs(weights - np.sum(np.abs(k) ** 2, axis=0)).max())
     gram = np.tensordot(k.conj(), k, axes=([0, 1], [0, 1]))
     _emit(
         "kraus",

@@ -8,8 +8,9 @@ Conventions used across the package:
 * Hermitian spectra come from ``eigh``; general operators fall back to an
   SVD.
 
-Tolerance policy: structural invariants (Hermiticity, trace, norms) are
-checked at 1e-9, algebraic identities are asserted at 1e-12 in the tests,
+Tolerance policy: structural invariants (Hermiticity, trace, norms,
+unitarity, Kraus completeness, the isometry condition) are checked at
+``TOL`` = 1e-9, algebraic identities are asserted at 1e-12 in the tests,
 and search outputs carry their own documented tolerances.
 
 A matrix from outside the program is validated in full, once, where it
@@ -21,10 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-9
-TRACE_TOL = 1e-9
-EIGENVALUE_CLAMP = 1e-9
-NORM_TOL = 1e-9
+TOL = 1e-9
 
 
 def as_matrix(x) -> np.ndarray:
@@ -37,11 +35,11 @@ def as_matrix(x) -> np.ndarray:
     return m
 
 
-def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
+def is_hermitian(m) -> bool:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
-    return float(np.abs(m - m.conj().T).max()) <= tol
+    return float(np.abs(m - m.conj().T).max()) <= TOL
 
 
 def partial_trace(m, dims, keep) -> np.ndarray:
@@ -156,10 +154,7 @@ def purity_metrics(rho) -> PurityMetrics:
 
 def maximally_entangled_state(dim: int) -> "PureState":
     """The state sum_i |ii> / sqrt(dim) on two *dim*-dimensional factors."""
-    v = np.zeros(dim * dim, dtype=complex)
-    for i in range(dim):
-        v[i * dim + i] = 1.0
-    return PureState(v / np.sqrt(dim))
+    return PureState(np.eye(dim, dtype=complex).reshape(-1) / np.sqrt(dim))
 
 
 class PureState:
@@ -178,7 +173,7 @@ class PureState:
         if not np.all(np.isfinite(v)):
             raise ValueError("state vector entries must be finite")
         n = float(np.linalg.norm(v))
-        if abs(n - 1.0) > NORM_TOL:
+        if abs(n - 1.0) > TOL:
             raise ValueError(f"state vector norm {n!r} is not 1")
         v = v / n
         v.setflags(write=False)
@@ -219,15 +214,15 @@ class DensityMatrix:
         if not np.all(np.isfinite(m)):
             raise ValueError("density matrix entries must be finite")
         dev = float(np.abs(m - m.conj().T).max())
-        if dev > HERMITICITY_TOL:
+        if dev > TOL:
             raise ValueError(f"density matrix is not Hermitian (deviation {dev:.3e})")
         m = (m + m.conj().T) / 2.0
         w, v = np.linalg.eigh(m)
-        if float(w.min()) < -EIGENVALUE_CLAMP:
+        if float(w.min()) < -TOL:
             raise ValueError(f"density matrix has negative eigenvalue {float(w.min()):.3e}")
         w = np.clip(w, 0.0, None)
         tr = float(w.sum())
-        if abs(tr - 1.0) > TRACE_TOL:
+        if abs(tr - 1.0) > TOL:
             raise ValueError(f"density matrix trace {tr!r} is not 1")
         m = (v * (w / tr)) @ v.conj().T
         m = (m + m.conj().T) / 2.0
@@ -244,10 +239,10 @@ class DensityMatrix:
     @classmethod
     def from_factor(cls, f) -> "DensityMatrix":
         """F F* / |F|_F^2 for a factor F with one row per basis state; the
-        squared norm |F|_F^2 = tr F F* must be within TRACE_TOL of one."""
+        squared norm |F|_F^2 = tr F F* must be within TOL of one."""
         f = np.asarray(f, dtype=complex)
         tr = float(np.vdot(f, f).real)
-        if not abs(tr - 1.0) <= TRACE_TOL:
+        if not abs(tr - 1.0) <= TOL:
             raise ValueError(f"density matrix trace {tr!r} is not 1")
         f = f / np.sqrt(tr)
         m = f @ f.conj().T

@@ -30,7 +30,7 @@ from .channels import (
     min_output_opnorm,
     probe_epsilon,
 )
-from .linalg import HERMITICITY_TOL, TRACE_TOL, DensityMatrix, PureState, as_matrix
+from .linalg import TOL, DensityMatrix, PureState, as_matrix
 
 PROB_FLOOR = 1e-12
 
@@ -103,9 +103,20 @@ class ProtocolResult:
     shots: ShotStats | None = None
 
 
+def _check_protocol_cap(ch: ChannelHandle) -> None:
+    """Refuse a protocol whose two-copy witness or output would exceed the
+    cap; checked before any witness is built."""
+    cap = max_total_dim()
+    if ch.dim_in ** 4 > cap or (ch.dim_out * ch.dim_in) ** 2 > cap:
+        raise DimensionCapError(
+            f"protocol dimension exceeds the cap of {cap} (set ISOLAB_MAX_DIM to override)"
+        )
+
+
 def honest_witness(ch: ChannelHandle, psi) -> DensityMatrix:
     """Two unentangled copies of a pure extended input, as a density matrix;
     such witnesses pass the first swap test with probability one."""
+    _check_protocol_cap(ch)
     psi = psi if isinstance(psi, PureState) else PureState(psi)
     if psi.dim != ch.dim_in ** 2:
         raise ValueError(
@@ -116,17 +127,13 @@ def honest_witness(ch: ChannelHandle, psi) -> DensityMatrix:
 
 def _coerce_witness(ch: ChannelHandle, witness) -> DensityMatrix:
     """The witness as a density matrix. An array is validated in full only
-    after its shape and the protocol cap are checked."""
+    after the protocol cap and its shape are checked."""
+    _check_protocol_cap(ch)
     m = as_matrix(witness)
     needed = ch.dim_in ** 4
     if m.shape != (needed, needed):
         raise ValueError(
             f"dimension mismatch: witness needs dim {needed}, got {m.shape[0]}x{m.shape[1]}"
-        )
-    cap = max_total_dim()
-    if needed > cap or (ch.dim_out * ch.dim_in) ** 2 > cap:
-        raise DimensionCapError(
-            f"protocol dimension exceeds the cap of {cap} (set ISOLAB_MAX_DIM to override)"
         )
     return witness if isinstance(witness, DensityMatrix) else DensityMatrix(m)
 
@@ -157,10 +164,10 @@ def _check_two_copy_output(sigma: np.ndarray) -> None:
     input to the channels is a normalized Hermitian matrix, so a violation
     is a fault of this module, not of the witness."""
     tr = float(np.real(np.trace(sigma)))
-    if not abs(tr - 1.0) <= TRACE_TOL:
+    if not abs(tr - 1.0) <= TOL:
         raise RuntimeError(f"two-copy channel output has trace {tr!r}, not 1")
     dev = float(np.abs(sigma - sigma.conj().T).max())
-    if not dev <= HERMITICITY_TOL:
+    if not dev <= TOL:
         raise RuntimeError(
             f"two-copy channel output is not Hermitian (deviation {dev:.3e})"
         )
@@ -222,6 +229,7 @@ def symmetric_witness_family(
     """Seeded family of symmetric witnesses: honest two-copy witnesses over
     the full computational basis of input (x) reference, plus random pure
     states projected onto the symmetric subspace."""
+    _check_protocol_cap(ch)
     d_half = ch.dim_in ** 2
     eye = np.eye(d_half, dtype=complex)
     family = [honest_witness(ch, PureState(eye[:, i])) for i in range(d_half)]
@@ -307,7 +315,7 @@ def check_protocol_bounds(
             epsilon_source="exact",
             max_p_accept=max_p,
             upper_bound=0.0,
-            holds=max_p <= 1e-9,
+            holds=max_p <= TOL,
             n_witnesses=len(family),
             seed=seed,
         )

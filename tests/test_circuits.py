@@ -21,10 +21,12 @@ from isolab import (
     Circuit,
     CircuitParseError,
     DensityMatrix,
+    DimensionCapError,
     PureState,
     append_output_depolarizing,
     apply_circuit,
     apply_circuit_matrix,
+    cdepolarize_gate,
     choi_of,
     compile_circuit,
     dephase_gate,
@@ -113,6 +115,30 @@ class TestValidate:
         c = Circuit(1, [ChannelGate("depolarize", (0,), broken)])
         with pytest.raises(CircuitParseError, match="not trace preserving"):
             validate_circuit(c)
+
+
+class TestMixingGateCap:
+    def test_wide_depolarize_refused_before_allocation(self):
+        # 7 targets would need 16^7 entries, a 4 GiB Kraus tensor.
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionCapError, match="268435456 complex entries"):
+                parse_circuit("qubits 7\nchannel depolarize 0 1 2 3 4 5 6\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
+
+    def test_cap_squared_bounds_kraus_entries(self, monkeypatch):
+        # A cap of 16 admits 256 entries: depolarize on 2 targets has 16
+        # operators of 4 x 4, cdepolarize on 1 target 5 of 4 x 4.
+        monkeypatch.setenv("ISOLAB_MAX_DIM", "16")
+        assert depolarize_gate(0, 1).kraus.shape == (16, 4, 4)
+        assert cdepolarize_gate(0, 1).kraus.shape == (5, 4, 4)
+        with pytest.raises(DimensionCapError, match="4096 complex entries"):
+            depolarize_gate(0, 1, 2)
+        with pytest.raises(DimensionCapError, match="1088 complex entries"):
+            cdepolarize_gate(0, 1, 2)
 
 
 class TestApply:

@@ -1,11 +1,14 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
 
-from conftest import density_oracle, kraus_apply_oracle
+from conftest import choi_oracle, density_oracle, kraus_apply_oracle, mixed_circuits
 from isolab import append_output_depolarizing, parse_circuit, serialize_circuit, validate_circuit
+from isolab.channels import RANK_TOL
 from isolab.cli import _complex_payload, main
 
 DEPOLARIZER = "qubits 1\nchannel depolarize 0\n"
@@ -130,6 +133,47 @@ class TestChoiKraus:
                 loop = max(loop, float(np.abs(kraus_apply_oracle(ops, unit) - density_oracle(circuit, unit)).max()))
         assert r["reconstruction_residual"] == pytest.approx(loop, abs=1e-14)
         assert (loop > 1e-9) == (strength < 1e-7)
+
+    @settings(max_examples=40)
+    @given(circuit=mixed_circuits())
+    def test_choi_eigenvalues_match_oracle(self, tmp_path_factory, circuit):
+        path = tmp_path_factory.mktemp("choi") / "c.circuit"
+        path.write_text(serialize_circuit(circuit))
+        r = json.loads(CliRunner().invoke(main, ["choi", str(path)]).output)["results"]
+        expected = np.linalg.eigvalsh(choi_oracle(circuit))[::-1]
+        assert np.abs(np.array(r["eigenvalues"]) - expected).max() <= 1e-12
+        assert sum(w > RANK_TOL for w in r["eigenvalues"]) == r["rank"]
+
+    def test_choi_diagonalizes_only_environment_gram(self, runner, tmp_path, monkeypatch):
+        # The dephase leaves an environment of dimension 2 on a 64 x 64 Choi
+        # matrix.
+        shapes = []
+        real = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        path = write(tmp_path, "c.circuit", "qubits 3\ngate H 0\ngate CNOT 0 1\ngate CNOT 1 2\nchannel dephase 2\n")
+        res = runner.invoke(main, ["choi", path])
+        assert res.exit_code == 0
+        assert shapes == [(2, 2)]
+        assert json.loads(res.output)["results"]["rank"] == 2
+
+    def test_kraus_forms_no_choi_sized_array(self, runner, tmp_path, choi_calls):
+        body = "".join(f"gate H {q}\ngate CNOT {q} {(q + 1) % 5}\n" for q in range(5))
+        path = write(tmp_path, "c.circuit", "qubits 5\n" + 2 * body + "channel dephase 0\n")
+        tracemalloc.start()
+        try:
+            res = runner.invoke(main, ["kraus", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.exit_code == 0
+        assert json.loads(res.output)["results"]["count"] == 2
+        assert choi_calls == []
+        assert peak < 1024 * 1024 * 16
 
     def test_linalg_error_is_internal(self, runner, tmp_path, monkeypatch):
         def diverge(*args, **kwargs):
@@ -293,6 +337,13 @@ class TestReduce:
         path = write(tmp_path, "v.verifier", "witness: 0\nqubits 1\n")
         res = runner.invoke(main, ["reduce", path])
         assert res.exit_code == 2
+
+    def test_over_cap_mixing_gate_exit_code(self, runner, tmp_path):
+        # At epsilon 0.01 the mixing gate spans 7 qubits: a 16 GiB Kraus tensor.
+        path = write(tmp_path, "v.verifier", ACCEPT_IF_ONE)
+        res = runner.invoke(main, ["reduce", path, "--epsilon", "0.01", "--output", str(tmp_path / "i")])
+        assert res.exit_code == 3
+        assert "cdepolarize needs a Kraus tensor" in res.output
 
 
 class TestDeterminism:

@@ -377,6 +377,24 @@ class TestTrustBoundary:
             run_protocol_exact(handle(DEPOLARIZER), np.eye(64) / 64)
         assert full_validations == []
 
+    def test_over_cap_witness_never_built(self, monkeypatch):
+        # At 2 input qubits a two-copy witness is 256 x 256, over a cap of 64.
+        monkeypatch.setenv("ISOLAB_MAX_DIM", "64")
+        factors = []
+        real = DensityMatrix.from_factor.__func__
+
+        def counting(cls, f):
+            factors.append(f)
+            return real(cls, f)
+
+        monkeypatch.setattr(DensityMatrix, "from_factor", classmethod(counting))
+        ch = handle("qubits 2\n")
+        with pytest.raises(DimensionCapError):
+            honest_witness(ch, PureState(np.eye(16)[0]))
+        with pytest.raises(DimensionCapError):
+            symmetric_witness_family(ch, n_random=1)
+        assert factors == []
+
     def test_over_cap_witness_fails_before_validation(self, full_validations, monkeypatch):
         monkeypatch.setenv("ISOLAB_MAX_DIM", "8")
         with pytest.raises(DimensionCapError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from isolab import (
     CircuitParseError,
     Circuit,
     DensityMatrix,
+    DimensionCapError,
     apply_circuit,
     apply_extended,
     build_instance,
@@ -20,7 +23,7 @@ from isolab import (
     unitary_gate,
     witness_injection,
 )
-from isolab.circuits import controlled_depolarizing_kraus
+from isolab.circuits import controlled_depolarizing_kraus, depolarizing_kraus
 from isolab.reduction import VerifierSpec
 
 ACCEPT_IF_ONE = """witness: 0
@@ -47,6 +50,19 @@ gate H 1
 
 
 class TestControlledDepolarizeKraus:
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_matches_kron_loop(self, dim):
+        mixing = []
+        for i in range(dim):
+            for j in range(dim):
+                m = np.zeros((dim, dim), dtype=complex)
+                m[i, j] = 1.0 / np.sqrt(dim)
+                mixing.append(m)
+        assert np.array_equal(depolarizing_kraus(dim), np.array(mixing))
+        expected = [np.kron(np.diag([1.0, 0.0]), np.eye(dim))]
+        expected += [np.kron(np.diag([0.0, 1.0]), m) for m in mixing]
+        assert np.array_equal(controlled_depolarizing_kraus(dim), np.array(expected))
+
     def test_operator_count_and_completeness(self):
         ops = controlled_depolarizing_kraus(2)
         assert len(ops) == 5
@@ -210,6 +226,19 @@ class TestBuildInstance:
         for eps in (0.3, 0.25, 0.45, 0.05):
             inst = build_instance(v, eps)
             assert 2 ** inst.channel_circuit.output_qubits * eps > 2.0
+
+    def test_over_cap_mixing_refused_before_allocation(self):
+        # At epsilon 0.01 the mixing block spans 7 qubits, so cdepolarize
+        # would need (4^7 + 1) 4^8 entries, 16 GiB.
+        v = parse_verifier(ACCEPT_IF_ONE)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionCapError, match="cdepolarize"):
+                build_instance(v, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
 
     def test_epsilon_range(self):
         v = parse_verifier(ACCEPT_IF_ONE)
