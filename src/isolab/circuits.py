@@ -260,8 +260,12 @@ class Circuit:
 # Text format
 # ---------------------------------------------------------------------------
 
-_NUM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_COMPLEX_RE = re.compile(rf"^({_NUM})([+-](?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)i$")
+_UNSIGNED = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_NUM = rf"[+-]?{_UNSIGNED}"
+_COMPLEX_RE = re.compile(rf"^({_NUM})([+-]{_UNSIGNED})i$")
+# A whole row of literals, ASCII only: any other row is read token by token.
+_LITERAL = rf"{_NUM}[+-]{_UNSIGNED}i"
+_ROW_RE = re.compile(rf"{_LITERAL}(?:\s+{_LITERAL})*", re.ASCII)
 
 
 def parse_complex(token: str) -> complex:
@@ -270,6 +274,18 @@ def parse_complex(token: str) -> complex:
     if m is None:
         raise ValueError(f"bad complex literal '{token}'")
     return complex(float(m.group(1)), float(m.group(2)))
+
+
+def _parse_complex_row(text: str) -> list[complex]:
+    """The whitespace-separated ``a+bi`` literals of one row. A row that
+    matches the grammar as a whole is converted by ``complex`` after the
+    i -> j swap, with the same values as ``parse_complex``; any other row
+    goes through ``parse_complex`` token by token, which names the first
+    bad literal."""
+    text = text.strip()
+    if _ROW_RE.fullmatch(text):
+        return [complex(tok) for tok in text.replace("i", "j").split()]
+    return [parse_complex(tok) for tok in text.split()]
 
 
 def format_complex(z: complex) -> str:
@@ -351,7 +367,7 @@ def _parse_gate_line(tokens: list[str], lineno: int, count: int):
                 f"umatrix on {len(targets)} target(s) needs {dim * dim} entries, got {len(entries)}",
             )
         try:
-            values = [parse_complex(e) for e in entries]
+            values = _parse_complex_row(" ".join(entries))
         except ValueError as exc:
             raise CircuitParseError(lineno, str(exc)) from None
         m = np.array(values, dtype=complex).reshape(dim, dim)

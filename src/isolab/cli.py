@@ -27,8 +27,8 @@ from .channels import (
 )
 from .circuits import (
     CircuitParseError,
+    _parse_complex_row,
     parse_circuit,
-    parse_complex,
     serialize_circuit,
     validate_circuit,
 )
@@ -82,7 +82,7 @@ def _load_rows(path: str) -> list[list[complex]]:
     """The complex literals of a text file, one list per non-blank line;
     ``#`` starts a comment."""
     with open(path, "r", encoding="utf-8") as fh:
-        rows = ([parse_complex(tok) for tok in raw.split("#", 1)[0].split()] for raw in fh)
+        rows = (_parse_complex_row(raw.split("#", 1)[0]) for raw in fh)
         return [row for row in rows if row]
 
 

@@ -66,11 +66,12 @@ def _project(m: np.ndarray, d: int, sign: float) -> np.ndarray:
 
 
 def swap_test(rho) -> SwapTestResult:
-    """Two-outcome measurement with projectors (I +/- W)/2 on a bipartite
-    state with equal factor dimensions.
+    """Two-outcome measurement with projectors P = (I +/- W)/2 on a bipartite
+    state with equal factor dimensions; an array is validated in full.
 
-    Post-measurement states are the renormalized projections; they are
-    None when the outcome probability is below 1e-12. On a two-copy input
+    Post-measurement states are the renormalized projections (P F)(P F)*
+    of rho = F F*, positive semidefinite however small the outcome
+    probability; they are None when it is below 1e-12. On a two-copy input
     sigma (x) sigma the antisymmetric probability is (1 - tr(sigma^2))/2.
     """
     m = as_matrix(rho)
@@ -78,12 +79,16 @@ def swap_test(rho) -> SwapTestResult:
     d = isqrt(total)
     if d * d != total or m.shape[0] != m.shape[1]:
         raise ValueError("non-square bipartition: matrix dimension is not d*d")
+    m = rho.matrix if isinstance(rho, DensityMatrix) else DensityMatrix(m).matrix
     p_sym, p_anti = _swap_probabilities(m, d)
+    w, v = np.linalg.eigh(m)
+    f = (v * np.sqrt(np.clip(w, 0.0, None))).reshape(d, d, total)
 
     def _post(sign: float, p: float) -> DensityMatrix | None:
         if p < PROB_FLOOR:
             return None
-        return DensityMatrix(_project(m, d, sign) / p)
+        pf = (f + sign * f.transpose(1, 0, 2)).reshape(total, total)
+        return DensityMatrix.from_factor(pf / np.linalg.norm(pf))
 
     return SwapTestResult(p_sym, p_anti, _post(1.0, p_sym), _post(-1.0, p_anti))
 
@@ -138,39 +143,32 @@ def _coerce_witness(ch: ChannelHandle, witness) -> DensityMatrix:
     return witness if isinstance(witness, DensityMatrix) else DensityMatrix(m)
 
 
-def _parallel_extended_output(ch: ChannelHandle, mat: np.ndarray) -> np.ndarray:
-    """Apply the reference-extended channel to each copy of a two-copy
-    matrix on (input (x) reference) (x) (input (x) reference).
-
-    The channel's natural representation S, with vec(Phi(X)) = S vec(X) in
-    row-major order, is read off the compiled isometry V by one contraction
-    over the environment: S[(x, x'), (a, a')] = sum_e V[x, e, a]
-    conj(V[x', e, a']). The matrix is viewed as a tensor with axes
-    (a r1 b r2 | a' r1' b' r2'); S contracts (a, a') for the first copy and
-    (b, b') for the second, and the reference axes pass through unchanged.
-    """
-    d_in, d_out = ch.dim_in, ch.dim_out
+def _swap_observable(ch: ChannelHandle) -> np.ndarray:
+    """T = (Phi* (x) Phi*)(W_out), the output swap pulled back through both
+    copies of the channel, axes (a, b, a', b'): with M = V as a
+    d_out x (d_env d_in) matrix and Q = M* M, axes (e, a, f, b),
+    T[a, b, a', b'] = sum_{e, f} Q[e, a, f, b'] Q[f, b, e, a']."""
     v = _isometry(ch)
-    s = np.tensordot(v, v.conj(), axes=([1], [1])).transpose(0, 2, 1, 3)
-    t = np.tensordot(s, mat.reshape((d_in,) * 8), axes=([2, 3], [0, 4]))
-    t = t.transpose(0, 2, 3, 4, 1, 5, 6, 7)   # (x r1 b r2 | x' r1' b' r2')
-    t = np.tensordot(s, t, axes=([2, 3], [2, 6]))
-    d_out_total = (d_out * d_in) ** 2
-    return t.transpose(2, 3, 0, 4, 5, 6, 1, 7).reshape(d_out_total, d_out_total)
+    d_env, d_in = v.shape[1], v.shape[2]
+    m = v.reshape(v.shape[0], d_env * d_in)
+    q = (m.conj().T @ m).reshape(d_env, d_in, d_env, d_in)
+    return np.tensordot(q, q, axes=([0, 2], [2, 0])).transpose(0, 2, 3, 1)
 
 
-def _check_two_copy_output(sigma: np.ndarray) -> None:
-    """O(D^2) checks of trace and Hermiticity on the two-copy output. The
-    input to the channels is a normalized Hermitian matrix, so a violation
-    is a fault of this module, not of the witness."""
-    tr = float(np.real(np.trace(sigma)))
-    if not abs(tr - 1.0) <= TOL:
-        raise RuntimeError(f"two-copy channel output has trace {tr!r}, not 1")
-    dev = float(np.abs(sigma - sigma.conj().T).max())
+def _check_swap_observable(ch: ChannelHandle, t: np.ndarray) -> None:
+    """T is Hermitian and tr T = |Phi(I)|_F^2 with Phi(I) = M M*; a
+    violation is a fault of this module, not of the witness."""
+    d = ch.dim_in ** 2
+    mat = t.reshape(d, d)
+    dev = float(np.abs(mat - mat.conj().T).max())
     if not dev <= TOL:
-        raise RuntimeError(
-            f"two-copy channel output is not Hermitian (deviation {dev:.3e})"
-        )
+        raise RuntimeError(f"pulled-back swap is not Hermitian (deviation {dev:.3e})")
+    m = _isometry(ch).reshape(ch.dim_out, -1)
+    phi_id = m @ m.conj().T
+    expected = float(np.vdot(phi_id, phi_id).real)
+    tr = float(np.real(np.trace(mat)))
+    if not abs(tr - expected) <= TOL:
+        raise RuntimeError(f"pulled-back swap has trace {tr!r}, not |Phi(I)|_F^2 = {expected!r}")
 
 
 def run_protocol_exact(ch: ChannelHandle, witness) -> ProtocolResult:
@@ -181,20 +179,22 @@ def run_protocol_exact(ch: ChannelHandle, witness) -> ProtocolResult:
     the antisymmetric outcome), step 2 applies the extended channel to
     each copy, and step 3 accepts on the antisymmetric outcome, so
     p_accept is the product of the step-1 symmetric probability and the
-    conditional step-3 antisymmetric probability.
+    conditional step-3 antisymmetric probability, (1 - <W_out>)/2 with
+    <W_out> read off the pulled-back swap T.
     """
     dm = _coerce_witness(ch, witness)
-    d_half = ch.dim_in ** 2
-    p1, _ = _swap_probabilities(dm.matrix, d_half)
+    d_in = ch.dim_in
+    p1, _ = _swap_probabilities(dm.matrix, d_in * d_in)
     if p1 < PROB_FLOOR:
         return ProtocolResult(p1, 0.0, 0.0)
-    # Normalized by its own trace and made exactly Hermitian, so that
-    # rounding in the projection is not magnified by 1/p1 when p1 is small.
-    block = _project(dm.matrix, d_half, 1.0)
-    post = (block + block.conj().T) / (2.0 * float(np.real(np.trace(block))))
-    sigma = _parallel_extended_output(ch, post)
-    _check_two_copy_output(sigma)
-    _, p3 = _swap_probabilities(sigma, ch.dim_out * ch.dim_in)
+    t = _swap_observable(ch)
+    _check_swap_observable(ch, t)
+    # <W_out> on the step-1 block, axes (a r b s | a' r' b' s'), normalized
+    # by its own trace so that rounding in the projection is not magnified
+    # by 1/p1; the reference swap pairs r with s' and s with r'.
+    block = _project(dm.matrix, d_in * d_in, 1.0)
+    w_out = np.einsum("abcd,csdrarbs->", t, block.reshape((d_in,) * 8))
+    p3 = _clamp01((1.0 - float(w_out.real) / float(np.real(np.trace(block)))) / 2.0)
     return ProtocolResult(p1, p3, p1 * p3)
 
 
@@ -219,10 +219,6 @@ def run_protocol_sampled(
     return replace(exact, shots=ShotStats(shots, int(np.count_nonzero(accepted)), seed))
 
 
-def _swap_halves(v: np.ndarray, d: int) -> np.ndarray:
-    return v.reshape(d, d).T.reshape(-1)
-
-
 def symmetric_witness_family(
     ch: ChannelHandle, n_random: int = 20, seed: int = 0
 ) -> list[DensityMatrix]:
@@ -236,7 +232,7 @@ def symmetric_witness_family(
     rng = np.random.default_rng(seed)
     while len(family) < d_half + n_random:
         v = rng.normal(size=d_half * d_half) + 1j * rng.normal(size=d_half * d_half)
-        v = (v + _swap_halves(v, d_half)) / 2.0
+        v = (v + v.reshape(d_half, d_half).T.reshape(-1)) / 2.0
         norm = np.linalg.norm(v)
         if norm < 1e-8:
             continue

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -38,7 +39,7 @@ from isolab import (
     unitary_gate,
     validate_circuit,
 )
-from isolab.circuits import format_complex, parse_complex
+from isolab.circuits import _ROW_RE, _parse_complex_row, format_complex, parse_complex
 
 
 class TestParse:
@@ -237,6 +238,37 @@ class TestRoundTrip:
         for _ in range(200):
             z = complex(rng.normal() * 10.0 ** int(rng.integers(-8, 8)), rng.normal())
             assert parse_complex(format_complex(z)) == z
+
+    PART = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-320, 1e300, -1e300]) | st.floats(
+        allow_nan=False, allow_infinity=False
+    )
+
+    @settings(max_examples=60)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.lists(st.builds(complex, PART, PART), min_size=1, max_size=8),
+                st.sampled_from([" ", "  ", "\t", " \t "]),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_row_reader_matches_parse_complex(self, rows):
+        for values, sep in rows:
+            text = f" {sep.join(format_complex(z) for z in values)}{sep}\n"
+            assert _ROW_RE.fullmatch(text.strip()) is not None
+            got = np.array(_parse_complex_row(text), dtype=complex)
+            ref = np.array([parse_complex(tok) for tok in text.split()], dtype=complex)
+            assert got.tobytes() == ref.tobytes()
+            assert got.tobytes() == np.array(values, dtype=complex).tobytes()
+
+    @pytest.mark.parametrize("bad", ["1+2j", "1+2i3", "inf+0i", "1+i", "+-1+0i"])
+    def test_row_reader_names_bad_literal(self, bad):
+        with pytest.raises(ValueError, match=f"^bad complex literal '{re.escape(bad)}'$"):
+            _parse_complex_row(f"0+1i {bad} 1+0i")
+        with pytest.raises(CircuitParseError, match=re.escape(f"bad complex literal '{bad}'")):
+            parse_circuit(f"qubits 1\numatrix 0 : 1+0i {bad} 0+0i 1+0i\n")
 
     def test_custom_kraus_channel_not_serializable(self):
         g = ChannelGate("mystery", (0,), tuple(dephase_gate(0).kraus))

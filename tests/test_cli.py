@@ -235,6 +235,15 @@ class TestProtocol:
         )
         assert res.exit_code == 2
 
+    def test_witness_file_bad_literal(self, runner, tmp_path):
+        path = write(tmp_path, "c.circuit", DEPOLARIZER)
+        witness = write(tmp_path, "w.matrix", "1+0i 0+0i\n0+0i 0+1j\n")
+        res = runner.invoke(
+            main, ["protocol", path, "--witness", "file", "--witness-file", witness]
+        )
+        assert res.exit_code == 2
+        assert "bad complex literal '0+1j'" in res.output
+
     def test_witness_file_mismatch_not_validated(self, runner, tmp_path, full_validations):
         # The shape is checked on the loaded array, before the eigh of a
         # full validation.
@@ -284,8 +293,8 @@ class TestProtocol:
     def test_internal_fault_exit_code(self, runner, tmp_path, monkeypatch):
         import isolab.protocol as protocol
 
-        real = protocol._parallel_extended_output
-        monkeypatch.setattr(protocol, "_parallel_extended_output", lambda ch, m: 2.0 * real(ch, m))
+        real = protocol._swap_observable
+        monkeypatch.setattr(protocol, "_swap_observable", lambda ch: 2.0 * real(ch))
         path = write(tmp_path, "c.circuit", DEPOLARIZER)
         res = runner.invoke(main, ["protocol", path, "--restarts", "2"])
         assert res.exit_code == 1

@@ -1,3 +1,6 @@
+import tracemalloc
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from conftest import (
     random_density,
     random_kraus,
     random_pure,
+    swap_operator,
 )
 from isolab import (
     AddAncilla,
@@ -35,7 +39,7 @@ from isolab import (
     swap_test,
     symmetric_witness_family,
 )
-from isolab.protocol import _parallel_extended_output
+from isolab.protocol import _swap_observable
 
 DEPOLARIZER = "qubits 1\nchannel depolarize 0\n"
 COPY = "qubits 1\nancilla\ngate CNOT 0 1\n"
@@ -89,6 +93,28 @@ class TestSwapTest:
             p_sym, p_anti = circuit_swap_test_probs(rho.matrix, d)
             assert res.p_symmetric == pytest.approx(p_sym, abs=1e-9)
             assert res.p_antisymmetric == pytest.approx(p_anti, abs=1e-9)
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-11])
+    def test_small_outcome_weight_post_state(self, eps):
+        # (1 - eps)|A><A| + eps|S><S| on 2 x 2 x 2 x 2 dims: the input holds
+        # eps|S><S| only to rounding, which dividing the projection by eps
+        # would blow up into a negative eigenvalue far above TOL.
+        rng = np.random.default_rng(0)
+
+        def halves_vector(sign):
+            v = rng.normal(size=16) + 1j * rng.normal(size=16)
+            v = v + sign * v.reshape(4, 4).T.reshape(-1)
+            return v / np.linalg.norm(v)
+
+        anti, sym = halves_vector(-1.0), halves_vector(1.0)
+        rho = (1 - eps) * np.outer(anti, anti.conj()) + eps * np.outer(sym, sym.conj())
+        res = swap_test(DensityMatrix(rho))
+        assert res.p_symmetric == pytest.approx(eps, abs=1e-15)
+        post = res.post_symmetric.matrix
+        assert np.linalg.eigvalsh(post).min() >= -1e-15
+        assert np.vdot(sym, post @ sym).real == pytest.approx(1.0, abs=1e-3)
+        post_anti = res.post_antisymmetric.matrix
+        assert np.vdot(anti, post_anti @ anti).real == pytest.approx(1.0, abs=1e-12)
 
     def test_non_square_bipartition(self):
         with pytest.raises(ValueError, match="non-square bipartition"):
@@ -206,7 +232,23 @@ KRAUS_CASES = [
 ]
 
 
+def pulled_back_expectation(ch, mat):
+    """<W_out> on both extended channel outputs of the two-copy matrix
+    *mat*, read off the pulled-back swap observable T."""
+    d_in = ch.dim_in
+    return np.einsum("abcd,csdrarbs->", _swap_observable(ch), mat.reshape((d_in,) * 8))
+
+
+def output_swap_oracle(ops, mat, d_in):
+    """tr(W_out sigma) on the explicit two-copy output sigma of the oracle."""
+    sigma = parallel_extended_output_oracle(ops, mat, d_in)
+    return np.trace(swap_operator(isqrt(sigma.shape[0])) @ sigma)
+
+
 class TestParallelExtendedOutput:
+    """The output swap pulled back through V, against the swap on the
+    kron-built two-copy output."""
+
     @pytest.mark.parametrize("n_in,shape,rank,channel_rank", KRAUS_CASES)
     def test_matches_kron_oracle(self, n_in, shape, rank, channel_rank):
         rng = np.random.default_rng(70 + n_in + rank)
@@ -217,12 +259,26 @@ class TestParallelExtendedOutput:
         d4 = ch.dim_in ** 4
         arbitrary = rng.normal(size=(d4, d4)) + 1j * rng.normal(size=(d4, d4))
         for mat in (random_density(rng, d4).matrix, arbitrary):
-            expected = parallel_extended_output_oracle(ops, mat, ch.dim_in)
-            got = _parallel_extended_output(ch, mat)
-            assert np.abs(got - expected).max() <= 1e-12
+            expected = output_swap_oracle(ops, mat, ch.dim_in)
+            assert abs(pulled_back_expectation(ch, mat) - expected) <= 1e-12
 
-    # The 2-qubit "grow" case is left out: swap_test validates its 1024-dim
-    # post-states with a full eigendecomposition each.
+    def test_wide_output_matches_kron_oracle(self):
+        # One input qubit, four output qubits: d_out = 8 d_in.
+        rng = np.random.default_rng(75)
+        ops = random_kraus(rng, 16, 16, 3)
+        circ = Circuit(1, [AddAncilla()] * 3 + [ChannelGate("kraus", (0, 1, 2, 3), tuple(ops))])
+        ch = ChannelHandle(circ)
+        assert (ch.dim_in, ch.dim_out) == (2, 16)
+        # The ancillas are the last qubits, so |x> becomes |x>|000> at 8x.
+        ops = [a[:, ::8] for a in ops]
+        arbitrary = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        for mat in (random_density(rng, 16).matrix, arbitrary):
+            expected = output_swap_oracle(ops, mat, ch.dim_in)
+            assert abs(pulled_back_expectation(ch, mat) - expected) <= 1e-12
+
+    # The 2-qubit "grow" case is left out: swap_test diagonalizes its
+    # 1024-dim input twice, once to validate it and once for the factor of
+    # its post-states.
     @pytest.mark.parametrize("n_in,shape,rank,channel_rank", KRAUS_CASES[:1] + KRAUS_CASES[2:])
     def test_probabilities_match_swap_tests_on_oracle(self, n_in, shape, rank, channel_rank):
         rng = np.random.default_rng(80 + n_in + rank)
@@ -245,23 +301,48 @@ class TestParallelExtendedOutput:
     @settings(max_examples=10)
     @given(seed=st.integers(0, 2 ** 32 - 1))
     def test_random_circuits_match_kron_oracle(self, seed):
-        # At most 2 input qubits and 3 qubits in flight, so the two-copy
-        # output has dimension (d_out d_in)^2 <= 1024.
+        # At most 2 input qubits and 3 qubits in flight, so the oracle's
+        # two-copy output has dimension (d_out d_in)^2 <= 1024.
         rng = np.random.default_rng(seed)
         ch = ChannelHandle(random_circuit(rng, max_in=2, max_total=3))
         ops = kraus_from_choi_oracle(choi_of(ch).matrix, ch.dim_in, rank_tol=0.0)
         mat = random_density(rng, ch.dim_in ** 4).matrix
-        expected = parallel_extended_output_oracle(ops, mat, ch.dim_in)
-        assert np.abs(_parallel_extended_output(ch, mat) - expected).max() <= 1e-12
+        expected = output_swap_oracle(ops, mat, ch.dim_in)
+        assert abs(pulled_back_expectation(ch, mat) - expected) <= 1e-12
 
     def test_trace_fault_is_internal_error(self, monkeypatch):
         import isolab.protocol as protocol
 
-        real = protocol._parallel_extended_output
-        monkeypatch.setattr(protocol, "_parallel_extended_output", lambda ch, m: 2.0 * real(ch, m))
+        real = protocol._swap_observable
+        monkeypatch.setattr(protocol, "_swap_observable", lambda ch: 2.0 * real(ch))
         ch = handle(DEPOLARIZER)
         with pytest.raises(RuntimeError, match="trace"):
             run_protocol_exact(ch, honest_witness(ch, maximally_entangled_state(2)))
+
+    def test_hermiticity_fault_is_internal_error(self, monkeypatch):
+        import isolab.protocol as protocol
+
+        real = protocol._swap_observable
+        monkeypatch.setattr(protocol, "_swap_observable", lambda ch: 1j * real(ch))
+        ch = handle(DEPOLARIZER)
+        with pytest.raises(RuntimeError, match="Hermitian"):
+            run_protocol_exact(ch, honest_witness(ch, maximally_entangled_state(2)))
+
+    def test_honest_protocol_forms_no_two_copy_output(self):
+        # 1 input qubit, 4 output qubits: one (d_out d_in)^2-square array
+        # would be 1024 x 1024 complex entries, 16 MiB.
+        src = "qubits 1\nancilla\nancilla\nancilla\ngate H 0\ngate CNOT 0 1\n"
+        ch = ChannelHandle(append_output_depolarizing(parse_circuit(src), 0.1))
+        assert (ch.dim_in, ch.dim_out) == (2, 16)
+        psi = maximally_entangled_state(2)
+        tracemalloc.start()
+        try:
+            res = run_protocol_exact(ch, honest_witness(ch, psi))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < res.p_accept < 0.5
+        assert peak < (ch.dim_out * ch.dim_in) ** 4 * 16
 
 
 class TestNearIsometry:
