@@ -373,7 +373,9 @@ def _parse_gate_line(tokens: list[str], lineno: int, count: int):
         m = np.array(values, dtype=complex).reshape(dim, dim)
         if not np.all(np.isfinite(m)):
             raise CircuitParseError(lineno, "matrix entries must be finite")
-        if float(np.abs(m.conj().T @ m - np.eye(dim)).max()) > TOL:
+        # A unitary's entries lie in the unit disc; larger ones are refused
+        # before the product, which overflows above about 1e154.
+        if np.abs(m).max() > 1.0 + TOL or float(np.abs(m.conj().T @ m - np.eye(dim)).max()) > TOL:
             raise CircuitParseError(lineno, "non-unitary gate")
         _check_targets(targets, count, lineno)
         return UnitaryGate("umatrix", targets, m, line=lineno), count
@@ -441,7 +443,8 @@ def validate_circuit(circuit: Circuit) -> None:
                 )
             if not np.all(np.isfinite(g.matrix)):
                 raise CircuitParseError(line, "matrix entries must be finite")
-            if float(np.abs(g.matrix.conj().T @ g.matrix - np.eye(dim)).max()) > TOL:
+            m = g.matrix
+            if np.abs(m).max() > 1.0 + TOL or float(np.abs(m.conj().T @ m - np.eye(dim)).max()) > TOL:
                 raise CircuitParseError(line, "non-unitary gate")
             _check_targets(g.targets, count, line)
         elif isinstance(g, ChannelGate):

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Every command prints a JSON report with sorted keys; given identical
-input files, flags, and seed the report is byte-identical across runs.
-Complex numbers are serialized as two-element [re, im] arrays. Exit
-codes: 0 success, 2 input error, 3 resource cap exceeded, 1 internal
-failure.
+Every command prints a JSON report: exactly the text of
+``json.dumps(report, indent=2, sort_keys=True)`` plus a newline, with each
+array written as its nested lists and complex numbers as two-element
+[re, im] arrays. Given identical input files, flags, and seed the report is
+byte-identical across runs. Exit codes: 0 success, 2 input error, 3
+resource cap exceeded, 1 internal failure.
 """
 
 import functools
@@ -37,9 +38,55 @@ from .protocol import honest_witness, run_protocol_exact, run_protocol_sampled
 from .reduction import build_instance, check_reduction, max_accept_prob, parse_verifier
 
 
-def _complex_payload(a) -> list:
-    """Nested lists of the array's entries as [re, im] pairs."""
-    return np.stack([a.real, a.imag], -1).tolist()
+# The C encoder: floats as their shortest repr, NaN and Infinity spelled as
+# json.dumps spells them, strings escaped to ASCII.
+_ENCODER = json.JSONEncoder()
+
+
+def _dumps(obj, level: int = 0) -> str:
+    """*obj* laid out as ``json.dumps(obj, indent=2, sort_keys=True)`` lays
+    it out at nesting depth *level*, with each ndarray standing for its
+    ``tolist()`` and complex entries for [re, im] pairs."""
+    if isinstance(obj, np.ndarray):
+        return _dumps_array(obj, level)
+    pad, end = "\n" + "  " * (level + 1), "\n" + "  " * level
+    if isinstance(obj, dict):
+        items = (f"{_ENCODER.encode(k)}: {_dumps(obj[k], level + 1)}" for k in sorted(obj))
+        return "{" + pad + ("," + pad).join(items) + end + "}" if obj else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = (_dumps(x, level + 1) for x in obj)
+        return "[" + pad + ("," + pad).join(items) + end + "]" if obj else "[]"
+    return _ENCODER.encode(obj)
+
+
+def _dumps_array(a: np.ndarray, level: int) -> str:
+    """A float or complex array at depth *level*: each distinct float64 bit
+    pattern is formatted once, and between two leaves goes one of nd
+    separators, chosen by how many trailing axes close there."""
+    if a.dtype.kind == "c":
+        a = np.asarray(a, dtype=complex)
+        a = a.reshape(-1).view(float).reshape(a.shape + (2,))
+    else:
+        a = np.asarray(a, dtype=float)
+    if a.ndim == 0 or a.size == 0:
+        return _dumps(a.tolist(), level)
+    bits, inverse = np.unique(a.reshape(-1).view(np.int64), return_inverse=True)
+    texts = _ENCODER.encode(bits.view(float).tolist())[1:-1].split(", ")
+    nd = a.ndim
+    pads = ["\n" + "  " * (level + k) for k in range(nd + 1)]
+    opens = ["[" + pads[k + 1] for k in range(nd)]
+    closes = [pads[k] + "]" for k in range(nd)]
+    seps = ["".join(closes[nd - 1:nd - 1 - c:-1]) + "," + pads[nd - c] + "".join(opens[nd - c:])
+            for c in range(nd)]
+    which = np.zeros(a.size - 1, dtype=np.intp)
+    stride = 1
+    for c in range(1, nd):
+        stride *= a.shape[nd - c]
+        which[stride - 1::stride] = c
+    out = np.empty(2 * a.size - 1, dtype=object)
+    out[0::2] = np.array(texts, dtype=object)[inverse]
+    out[1::2] = np.array(seps, dtype=object)[which]
+    return "".join(opens) + "".join(out.tolist()) + "".join(reversed(closes))
 
 
 def _emit(command: str, inputs: dict, results: dict, seed=None) -> None:
@@ -50,7 +97,7 @@ def _emit(command: str, inputs: dict, results: dict, seed=None) -> None:
         "seed": seed,
         "version": __version__,
     }
-    click.echo(json.dumps(report, indent=2, sort_keys=True))
+    click.echo(_dumps(report))
 
 
 def _guarded(fn):
@@ -139,7 +186,7 @@ def analyze(path, epsilon, restarts, seed):
         "min_output_opnorm": report.min_output_opnorm,
         "classification": report.classification,
         "epsilon": epsilon,
-        "minimizer": _complex_payload(report.minimizing_state.amplitudes),
+        "minimizer": report.minimizing_state.amplitudes,
         "minimizer_output_purity": metrics.purity,
         "minimizer_output_opnorm": metrics.opnorm,
         "minimizer_output_tdist_to_pure": metrics.tdist_to_pure,
@@ -172,8 +219,8 @@ def choi(path):
             "dim_in": ch.dim_in,
             "dim_out": ch.dim_out,
             "rank": len(kraus_of(ch)),
-            "eigenvalues": [float(x) for x in w],
-            "matrix": _complex_payload(choi_of(ch).matrix),
+            "eigenvalues": w,
+            "matrix": choi_of(ch).matrix,
         },
     )
 
@@ -198,7 +245,7 @@ def kraus(path):
         {"path": path},
         {
             "count": len(k),
-            "operators": _complex_payload(k),
+            "operators": k,
             "completeness_defect": float(np.abs(gram - np.eye(ch.dim_in)).max()),
             "reconstruction_residual": residual,
         },
@@ -233,7 +280,7 @@ def protocol(path, witness_kind, witness_file, psi_kind, psi_file, shots, restar
         else:
             _, psi = min_output_opnorm(ch, restarts=restarts, seed=seed)
         witness = honest_witness(ch, psi)
-        psi_used = _complex_payload(psi.amplitudes)
+        psi_used = psi.amplitudes
     if shots > 0:
         result = run_protocol_sampled(ch, witness, shots, seed)
     else:

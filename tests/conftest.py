@@ -450,6 +450,18 @@ def circuit_swap_test_probs(rho, d):
     return p0, p1
 
 
+def report_oracle(obj):
+    """The report as the nested lists ``json.dumps`` takes: every ndarray
+    by ``tolist()``, complex entries as [re, im] pairs."""
+    if isinstance(obj, np.ndarray):
+        return np.stack([obj.real, obj.imag], -1).tolist() if obj.dtype.kind == "c" else obj.tolist()
+    if isinstance(obj, dict):
+        return {k: report_oracle(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [report_oracle(x) for x in obj]
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # Random circuit generation
 # ---------------------------------------------------------------------------

@@ -270,6 +270,56 @@ class TestRoundTrip:
         with pytest.raises(CircuitParseError, match=re.escape(f"bad complex literal '{bad}'")):
             parse_circuit(f"qubits 1\numatrix 0 : 1+0i {bad} 0+0i 1+0i\n")
 
+    # Every part a unitary entry can hold beyond 0 and +-1: signed zeros
+    # and subnormals.
+    TINY = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320])
+
+    @settings(max_examples=60)
+    @given(circuit=mixed_circuits(), data=st.data())
+    def test_extreme_literals_round_trip_whole_circuit(self, circuit, data):
+        # A phased permutation matrix whose zero parts are drawn from TINY,
+        # appended as a umatrix to a whole generated circuit.
+        n = circuit.output_qubits
+        qubits = data.draw(st.permutations(range(n)))
+        k = 2 if n > 1 and data.draw(st.booleans()) else 1
+        dim = 2 ** k
+        perm = data.draw(st.permutations(range(dim)))
+        m = np.empty((dim, dim), dtype=complex)
+        for i in range(dim):
+            for j in range(dim):
+                re, im = data.draw(self.TINY), data.draw(self.TINY)
+                if perm[j] == i:
+                    unit = data.draw(st.sampled_from([1.0, -1.0]))
+                    re, im = (unit, im) if data.draw(st.booleans()) else (re, unit)
+                m[i, j] = complex(re, im)
+        c = Circuit(circuit.input_qubits, [*circuit.gates, unitary_gate(m, *qubits[:k])])
+        text = serialize_circuit(c)
+        back = parse_circuit(text)
+        assert back == c
+        assert serialize_circuit(back) == text
+        assert back.gates[-1].matrix.tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("big", ["1e300+0i", "-1e300+0i", "0+1e300i"])
+    def test_huge_finite_literal_is_not_unitary(self, big):
+        with pytest.raises(CircuitParseError, match="non-unitary gate"):
+            parse_circuit(f"qubits 1\numatrix 0 : {big} 0+0i 0+0i 1+0i\n")
+
+    TOKENS = st.sampled_from(
+        ["qubits", "gate", "umatrix", "ancilla", "traceout", "channel", "depolarize", "dephase",
+         "cdepolarize", ":", "#", "H", "CNOT", "SWAP", "0", "1", "2", "3", "-1", "99", "1_0",
+         "\u0661", "1+0i", "0+0i", "-0+1i", "0.70710678118654757+0i", "1e300+0i", "1e400+0i", "nan+0i", "1+i", "x"]
+    ) | st.text(max_size=5)
+    LINES = st.lists(TOKENS, max_size=7).map(" ".join) | st.text(max_size=20)
+
+    @settings(max_examples=300)
+    @given(header=st.sampled_from(["qubits 1", "qubits 2", "qubits 3", "qubits 0", "qubits x", ""]),
+           lines=st.lists(LINES, max_size=6))
+    def test_garbage_raises_only_parse_error(self, header, lines):
+        try:
+            parse_circuit("\n".join([header, *lines]))
+        except CircuitParseError:
+            pass
+
     def test_custom_kraus_channel_not_serializable(self):
         g = ChannelGate("mystery", (0,), tuple(dephase_gate(0).kraus))
         with pytest.raises(ValueError, match="no text representation"):

@@ -1,15 +1,19 @@
+import contextlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import choi_oracle, density_oracle, kraus_apply_oracle, mixed_circuits
+from conftest import choi_oracle, density_oracle, kraus_apply_oracle, mixed_circuits, report_oracle
 from isolab import append_output_depolarizing, parse_circuit, serialize_circuit, validate_circuit
 from isolab.channels import RANK_TOL
-from isolab.cli import _complex_payload, main
+from isolab.cli import _dumps, main
 
 DEPOLARIZER = "qubits 1\nchannel depolarize 0\n"
 IDENTITY = "qubits 1\n"
@@ -187,8 +191,8 @@ class TestChoiKraus:
 
 
 class TestComplexPayload:
-    """One stacked conversion against the per-entry [re, im] construction,
-    compared as serialized JSON."""
+    """The emitter's array rendering against the per-entry [re, im]
+    construction, compared as indented report text."""
 
     @staticmethod
     def per_entry(a):
@@ -202,7 +206,78 @@ class TestComplexPayload:
         a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         flat = a.reshape(-1)
         flat[:6] = [-0.0 + 0.0j, complex(0.0, -0.0), 1e-320 - 1e-320j, 1e300 + 0j, -1e300j, 5e-324]
-        assert json.dumps(_complex_payload(a)) == json.dumps(self.per_entry(a))
+        assert _dumps(a) == json.dumps(self.per_entry(a), indent=2, sort_keys=True)
+
+
+FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, 1e-320, 1e300, -1e300, math.nan, math.inf, -math.inf]) | st.floats()
+SHAPES = st.sampled_from([(), (0,), (2, 0, 3)]) | hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=3)
+ARRAYS = hnp.arrays(np.float64, SHAPES, elements=FLOATS) | hnp.arrays(
+    np.complex128, SHAPES, elements=st.builds(complex, FLOATS, FLOATS)
+)
+SCALARS = (
+    st.text(alphabet=st.characters(codec="utf-8") | st.sampled_from('"\\\n\t\x00\x1b\u2028'), max_size=6)
+    | st.integers()
+    | st.booleans()
+    | st.none()
+    | FLOATS
+)
+REPORTS = st.recursive(
+    SCALARS | ARRAYS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+class TestReportText:
+    """The emitter against ``json.dumps(indent=2, sort_keys=True)`` on the
+    same report with every array turned into nested lists."""
+
+    @settings(max_examples=300)
+    @given(report=REPORTS)
+    def test_matches_json_dumps(self, report):
+        assert _dumps(report) == json.dumps(report_oracle(report), indent=2, sort_keys=True)
+
+    def test_array_views(self):
+        # Transposed, reversed and strided views render as their tolist().
+        a = np.arange(24, dtype=float).reshape(2, 3, 4) - 11.5
+        z = a + 1j * a[::-1]
+        for view in (a.T, a[:, ::-1, ::2], z.transpose(2, 0, 1), z[..., ::-3]):
+            assert _dumps({"v": view}) == json.dumps(report_oracle({"v": view}), indent=2, sort_keys=True)
+
+
+ISOMETRY_3Q = "qubits 3\nancilla\ngate H 0\ngate CNOT 0 3\ngate CNOT 1 2\ngate T 2\n"
+NOISY_2Q = "qubits 2\ngate H 0\ngate CNOT 0 1\nchannel dephase 1\n"
+
+
+class TestHarnessShapedRun:
+    """Each report goes where ``sys.stdout`` points at call time, as an
+    in-process caller that redirects stdout into a file reads it."""
+
+    @pytest.mark.parametrize(
+        "argv, circuit",
+        [
+            (["choi"], ISOMETRY_3Q),
+            (["choi"], NOISY_2Q),
+            (["kraus"], ISOMETRY_3Q),
+            (["kraus"], NOISY_2Q),
+            (["analyze", "--restarts", "2", "--seed", "3"], NOISY_2Q),
+            (["protocol", "--restarts", "2", "--seed", "3"], DEPOLARIZER),
+        ],
+        ids=["choi-isometry-3q", "choi-noisy-2q", "kraus-isometry-3q", "kraus-noisy-2q", "analyze", "protocol"],
+    )
+    def test_report_is_canonical_json_on_redirected_stdout(self, tmp_path, capfd, argv, circuit):
+        path = write(tmp_path, "c.circuit", circuit)
+        report_path = tmp_path / "report.json"
+        with open(report_path, "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
+            main.main(args=[argv[0], path, *argv[1:]], prog_name="isolab", standalone_mode=False)
+        text = report_path.read_text(encoding="utf-8")
+        report = json.loads(text)
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert capfd.readouterr().out == ""
+        if argv[0] == "choi":
+            m = report["results"]["matrix"]
+            trace = complex(sum(m[i][i][0] for i in range(len(m))), sum(m[i][i][1] for i in range(len(m))))
+            assert abs(trace - 1.0) <= 1e-9
 
 
 class TestProtocol:
