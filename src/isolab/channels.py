@@ -90,6 +90,18 @@ def apply_extended(ch: ChannelHandle, psi) -> DensityMatrix:
     return DensityMatrix.from_factor(_lift(_isometry(ch), psi.amplitudes[:, None], ch.n_in))
 
 
+def _output_opnorm(iso: np.ndarray, x: np.ndarray, n_ref: int = 0) -> float:
+    """Largest eigenvalue of the channel output on the unit vector *x*, with
+    *n_ref* trailing reference qubits, read off the smaller Gram matrix of
+    its factor F = _lift(iso, x), scaled to unit trace as in
+    ``DensityMatrix.from_factor``: F F* and F* F share their nonzero
+    spectrum."""
+    f = _lift(iso, x[:, None], n_ref)
+    f = f / np.sqrt(np.vdot(f, f).real)
+    g = f @ f.conj().T if f.shape[0] <= f.shape[1] else f.conj().T @ f
+    return float(np.linalg.eigvalsh(g)[-1])
+
+
 def _check_cap(ch: ChannelHandle) -> None:
     cap = max_total_dim()
     peak = max(ch.circuit.qubit_counts())
@@ -169,9 +181,10 @@ def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _evaluate(kraus: np.ndarray, psi: np.ndarray):
-    """Largest output eigenvalue of the extended channel on *psi* and its
-    eigenvector, from the r-by-r Gram matrix of the output slices.
+def _evaluate(kraus: np.ndarray, psi: np.ndarray, start=None):
+    """Largest output eigenvalue of the extended channel on *psi*, its
+    eigenvector v, the output slices W, and the top eigenvector u of their
+    Gram matrix, which warm-starts the next evaluation as *start*.
 
     With w_k = (A_k Psi) flattened and W the r-by-D matrix of rows w_k, the
     output is W^T conj(W) = sum_k w_k w_k^*, whose nonzero spectrum equals
@@ -179,9 +192,9 @@ def _evaluate(kraus: np.ndarray, psi: np.ndarray):
     """
     r, d_out, d_in = kraus.shape
     w = (kraus.reshape(r * d_out, d_in) @ psi.reshape(d_in, d_in)).reshape(r, -1)
-    f, u = top_eigenpair(w.conj() @ w.T)
+    f, u = top_eigenpair(w.conj() @ w.T, start)
     v = w.T @ u
-    return f, v / np.linalg.norm(v), w
+    return f, v / np.linalg.norm(v), w, u
 
 
 def _gradient(kraus: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -198,8 +211,12 @@ def _descend_opnorm(kraus: np.ndarray, psi: np.ndarray, max_iter: int = 400):
     """Minimize the largest output eigenvalue over the unit sphere by
     projected gradient descent with backtracking; the subgradient comes
     from the top eigenvector. Stops when the improvement drops below
-    1e-10."""
-    f, v, w = _evaluate(kraus, psi)
+    1e-10.
+
+    Each candidate is evaluated warm from the last accepted evaluation's
+    Gram eigenvector; the value returned is evaluated cold, by eigh, at the
+    final input."""
+    f, v, w, u = _evaluate(kraus, psi)
     step = 0.5
     for _ in range(max_iter):
         g = _gradient(kraus, w, v)
@@ -212,7 +229,7 @@ def _descend_opnorm(kraus: np.ndarray, psi: np.ndarray, max_iter: int = 400):
         while step > 1e-16:
             cand = psi - step * g_tan
             cand = cand / np.linalg.norm(cand)
-            f_new, v_new, w_new = _evaluate(kraus, cand)
+            f_new, v_new, w_new, u_new = _evaluate(kraus, cand, u)
             if f_new <= f - 1e-4 * step * gn2:
                 improved = True
                 break
@@ -220,10 +237,10 @@ def _descend_opnorm(kraus: np.ndarray, psi: np.ndarray, max_iter: int = 400):
         if not improved:
             break
         gain = f - f_new
-        psi, f, v, w = cand, f_new, v_new, w_new
+        psi, f, v, w, u = cand, f_new, v_new, w_new, u_new
         if gain < 1e-10:
             break
-    return psi, float(f)
+    return psi, float(_evaluate(kraus, psi)[0])
 
 
 def min_output_opnorm(
@@ -234,8 +251,11 @@ def min_output_opnorm(
 
     The returned value is an upper bound on the true minimum; it is
     deterministic given the seed, and using more restarts with the same
-    seed never increases it. Each search step costs one eigendecomposition
-    of an r-by-r Gram matrix, with r the Kraus rank of the channel.
+    seed never increases it. Each search step reads the top eigenpair of
+    an r-by-r Gram matrix, with r the Kraus rank of the channel: above
+    16 x 16 by a short Lanczos run warm-started from the previous step's
+    eigenvector when its answer is certified, else by one eigh. Each
+    restart's value is one eigh at its final input.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -327,10 +347,7 @@ def probe_epsilon(ch: ChannelHandle, seed: int = 0, n_random: int = 50) -> float
     eigenvalue over the finite probe family; a lower bound on the true
     worst-case defect."""
     iso = _isometry(ch)
-    worst = 1.0
-    for _, v in _probe_family(ch, seed, n_random):
-        out = DensityMatrix.from_factor(_lift(iso, v[:, None]))
-        worst = min(worst, operator_norm(out.matrix))
+    worst = min(_output_opnorm(iso, v) for _, v in _probe_family(ch, seed, n_random))
     return max(0.0, 1.0 - worst)
 
 

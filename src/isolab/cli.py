@@ -97,7 +97,12 @@ def _emit(command: str, inputs: dict, results: dict, seed=None) -> None:
         "seed": seed,
         "version": __version__,
     }
-    click.echo(_dumps(report))
+    # Written as is: click.echo would copy the text once more and scan it
+    # for ANSI escapes whenever stdout is not a terminal.
+    out = sys.stdout
+    out.write(_dumps(report))
+    out.write("\n")
+    out.flush()
 
 
 def _guarded(fn):

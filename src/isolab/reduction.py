@@ -27,7 +27,8 @@ import numpy as np
 from .channels import (
     ChannelHandle,
     DimensionCapError,
-    apply_extended,
+    _isometry,
+    _output_opnorm,
     min_output_opnorm,
 )
 from .circuits import (
@@ -43,7 +44,7 @@ from .circuits import (
     parse_circuit,
     validate_circuit,
 )
-from .linalg import PureState, operator_norm, top_eigenpair
+from .linalg import PureState, top_eigenpair
 
 MAX_VERIFIER_QUBITS = 10
 
@@ -267,7 +268,7 @@ def check_reduction(
     ref = np.zeros(ch.dim_in, dtype=complex)
     ref[0] = 1.0
     gamma = PureState(np.kron(witness.amplitudes, ref))
-    m_explicit = operator_norm(apply_extended(ch, gamma).matrix)
+    m_explicit = _output_opnorm(_isometry(ch), gamma.amplitudes, ch.n_in)
     m = min(m_search, m_explicit)
     if p <= epsilon:
         case, bound = "low-acceptance", 1.0 - epsilon

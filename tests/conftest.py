@@ -47,6 +47,34 @@ def _call_log(monkeypatch, real):
 
 
 @pytest.fixture
+def ritz_answers(monkeypatch):
+    """One entry per warm-started Lanczos run of ``top_eigenpair`` while the
+    test runs: True where its certified pair answered, False where eigh
+    took over."""
+    import isolab.linalg as linalg
+
+    real = linalg._certified_ritz_pair
+    answers = []
+
+    def recording(m, start):
+        pair = real(m, start)
+        answers.append(pair is not None)
+        return pair
+
+    monkeypatch.setattr(linalg, "_certified_ritz_pair", recording)
+    return answers
+
+
+def eigh_only(mp):
+    """Make the search ignore warm starts, so every evaluation runs eigh;
+    *mp* is a ``pytest.MonkeyPatch``."""
+    import isolab.channels as channels
+
+    real = channels.top_eigenpair
+    mp.setattr(channels, "top_eigenpair", lambda m, start=None: real(m))
+
+
+@pytest.fixture
 def choi_calls(monkeypatch):
     """Handles passed to ``choi_of`` while the test runs."""
     import isolab.channels as channels

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_force_min_opnorm,
     choi_oracle,
     choi_rank_oracle,
     completeness_defect_oracle,
+    eigh_only,
     extended_output_oracle,
     kraus_apply_oracle,
     kraus_from_choi_oracle,
@@ -16,6 +18,7 @@ from conftest import (
     random_density,
     random_kraus,
     random_pure,
+    random_unitary,
 )
 from isolab import (
     ChannelHandle,
@@ -40,7 +43,9 @@ from isolab import (
     purity_metrics,
     trace_norm,
 )
-from isolab.channels import _evaluate, _gradient
+from isolab.channels import _evaluate, _gradient, _isometry, _output_opnorm, _probe_family
+from isolab.circuits import AddAncilla, Circuit, _lift, unitary_gate
+from isolab.linalg import DensityMatrix
 
 IDENTITY = "qubits 1\n"
 DEPOLARIZER = "qubits 1\nchannel depolarize 0\n"
@@ -293,6 +298,15 @@ class TestMinOutputOpnorm:
             min_output_opnorm(handle(IDENTITY), restarts=restarts, seed=0)
 
 
+def depolarized_unitary(n, s, seed, ancillas=0):
+    """A Haar unitary on n qubits and *ancillas* fresh ancillas, followed by
+    output depolarizing of strength s."""
+    k = n + ancillas
+    u = random_unitary(np.random.default_rng(seed), 2 ** k)
+    gates = [AddAncilla() for _ in range(ancillas)] + [unitary_gate(u, *range(k))]
+    return append_output_depolarizing(Circuit(n, gates), s)
+
+
 # (d_in, d_out, Kraus rank): r = 1, r < D = d_out * d_in, and r = D
 SEARCH_SHAPES = [(4, 8, 1), (4, 32, 10), (4, 2, 8)]
 
@@ -308,12 +322,31 @@ class TestSearchEvaluation:
         kraus = np.stack(ops)
         for _ in range(5):
             psi = random_pure(rng, d_in * d_in).amplitudes
-            f, v, w = _evaluate(kraus, psi)
+            f, v, w, _ = _evaluate(kraus, psi)
             spectrum, v_oracle, g_oracle = opnorm_gradient_oracle(ops, psi, d_in)
             assert spectrum[-1] - spectrum[-2] > 1e-6  # simple top eigenvalue
             assert abs(f - spectrum[-1]) < 1e-12
             assert abs(abs(np.vdot(v_oracle, v)) - 1.0) < 1e-9
             assert np.abs(_gradient(kraus, w, v) - g_oracle).max() < 1e-10
+
+    def test_warm_start_matches_oracle(self, ritz_answers):
+        # Output depolarizing of a 2 -> 3-qubit isometry has Kraus rank 32,
+        # above the 16 x 16 Gram matrices that always take eigh.
+        ops = list(kraus_of(ChannelHandle(depolarized_unitary(2, 0.3, seed=61, ancillas=1))))
+        assert len(ops) == 32
+        kraus = np.stack(ops)
+        rng = np.random.default_rng(62)
+        psi = random_pure(rng, 16).amplitudes
+        *_, u = _evaluate(kraus, psi)
+        for _ in range(5):
+            psi = psi + 0.05 * random_pure(rng, 16).amplitudes
+            psi = psi / np.linalg.norm(psi)
+            f, v, w, u = _evaluate(kraus, psi, u)
+            spectrum, v_oracle, g_oracle = opnorm_gradient_oracle(ops, psi, 4)
+            assert abs(f - spectrum[-1]) < 1e-12
+            assert abs(abs(np.vdot(v_oracle, v)) - 1.0) < 1e-9
+            assert np.abs(_gradient(kraus, w, v) - g_oracle).max() < 1e-10
+        assert ritz_answers == [True] * 5
 
     @pytest.mark.parametrize("d_in,d_out,rank", SEARCH_SHAPES)
     def test_gradient_finite_difference(self, d_in, d_out, rank):
@@ -321,7 +354,7 @@ class TestSearchEvaluation:
         ops = random_kraus(rng, d_in, d_out, rank)
         kraus = np.stack(ops)
         psi = random_pure(rng, d_in * d_in).amplitudes
-        f, v, w = _evaluate(kraus, psi)
+        f, v, w, _ = _evaluate(kraus, psi)
         g = _gradient(kraus, w, v)
 
         def top(x):
@@ -332,6 +365,67 @@ class TestSearchEvaluation:
             delta = rng.normal(size=psi.size) + 1j * rng.normal(size=psi.size)
             slope = (top(psi + t * delta) - top(psi - t * delta)) / (2 * t)
             assert slope == pytest.approx(np.real(np.vdot(g, delta)), abs=1e-6)
+
+
+class TestWarmSearch:
+    """The search with warm-started evaluations against the same search with
+    eigh at every evaluation."""
+
+    @staticmethod
+    def both(circuit, restarts, seed):
+        warm = min_output_opnorm(ChannelHandle(circuit), restarts=restarts, seed=seed)[0]
+        with pytest.MonkeyPatch.context() as mp:
+            eigh_only(mp)
+            cold = min_output_opnorm(ChannelHandle(circuit), restarts=restarts, seed=seed)[0]
+        return warm, cold
+
+    @pytest.mark.parametrize("s", [1 / 3, 2 / 3, 0.9])
+    def test_output_depolarized_3q(self, ritz_answers, s):
+        warm, cold = self.both(depolarized_unitary(3, s, seed=int(100 * s)), restarts=2, seed=5)
+        assert abs(warm - cold) <= 1e-12
+        assert warm == pytest.approx((1.0 - s) + s / 64, abs=1e-7)
+        assert ritz_answers and all(ritz_answers)
+
+    @settings(max_examples=40)
+    @given(circuit=mixed_circuits(), s=st.sampled_from([None, 0.3, 0.8]))
+    def test_mixed_circuits(self, circuit, s):
+        # Output depolarizing raises the Kraus rank past 16, where the warm
+        # start is tried.
+        if s is not None:
+            circuit = append_output_depolarizing(circuit, s)
+        warm, cold = self.both(circuit, restarts=2, seed=9)
+        assert abs(warm - cold) <= 1e-12
+
+
+class TestOutputOpnorm:
+    """The operator norm of a pure input's output from the smaller Gram
+    matrix of its factor, against the D x D output it replaced."""
+
+    @pytest.mark.parametrize(
+        "circuit",
+        [
+            depolarized_unitary(2, 0.3, seed=71),               # d_env > D
+            parse_circuit("qubits 2\nancilla\nancilla\ngate H 0\ngate CNOT 0 3\nchannel dephase 2\n"),
+        ],
+        ids=["wide-environment", "wide-output"],
+    )
+    def test_matches_full_output(self, circuit):
+        ch = ChannelHandle(circuit)
+        iso = _isometry(ch)
+        rng = np.random.default_rng(72)
+        for n_ref in (0, ch.n_in):
+            for _ in range(4):
+                x = random_pure(rng, ch.dim_in * 2 ** n_ref).amplitudes
+                full = DensityMatrix.from_factor(_lift(iso, x[:, None], n_ref))
+                assert abs(_output_opnorm(iso, x, n_ref) - operator_norm(full.matrix)) <= 1e-12
+
+    def test_probe_epsilon_matches_full_outputs(self):
+        ch = ChannelHandle(depolarized_unitary(2, 0.05, seed=73))
+        worst = min(
+            operator_norm(DensityMatrix.from_factor(_lift(_isometry(ch), v[:, None])).matrix)
+            for _, v in _probe_family(ch, 4, 20)
+        )
+        assert abs(probe_epsilon(ch, seed=4, n_random=20) - (1.0 - worst)) <= 1e-12
 
 
 class TestClassification:

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import choi_oracle, density_oracle, kraus_apply_oracle, mixed_circuits, report_oracle
-from isolab import append_output_depolarizing, parse_circuit, serialize_circuit, validate_circuit
+from isolab import (
+    ChannelHandle,
+    append_output_depolarizing,
+    choi_of,
+    parse_circuit,
+    serialize_circuit,
+    validate_circuit,
+)
 from isolab.channels import RANK_TOL
 from isolab.cli import _dumps, main
 
@@ -278,6 +285,25 @@ class TestHarnessShapedRun:
             m = report["results"]["matrix"]
             trace = complex(sum(m[i][i][0] for i in range(len(m))), sum(m[i][i][1] for i in range(len(m))))
             assert abs(trace - 1.0) <= 1e-9
+
+
+    def test_choi_stdout_is_the_json_text_and_a_newline(self, tmp_path, capfdbinary, monkeypatch):
+        # The bytes that reach the process's stdout are the canonical JSON
+        # text and one newline; click.echo is not on the path.
+        import isolab.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("report written through click.echo")
+
+        monkeypatch.setattr(cli.click, "echo", refuse)
+        path = write(tmp_path, "c.circuit", NOISY_2Q)
+        main.main(args=["choi", path], prog_name="isolab", standalone_mode=False)
+        out = capfdbinary.readouterr().out
+        report = json.loads(out)
+        assert out == (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        ch = ChannelHandle(parse_circuit(NOISY_2Q))
+        assert report["results"]["matrix"] == report_oracle(choi_of(ch).matrix)
+        assert report["command"] == "choi"
 
 
 class TestProtocol:

@@ -9,6 +9,7 @@ from conftest import (
     random_density,
     random_hermitian,
     random_pure,
+    random_unitary,
     swap_operator,
     sym_antisym_projectors,
     tensor_oracle,
@@ -21,6 +22,7 @@ from isolab import (
     operator_norm,
     partial_trace,
     purity_metrics,
+    top_eigenpair,
     trace_norm,
 )
 from isolab.protocol import _project, _swap_probabilities
@@ -103,6 +105,116 @@ class TestOperatorNorm:
         rng = np.random.default_rng(12)
         m = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
         assert operator_norm(m) == pytest.approx(power_iteration_opnorm(m), abs=1e-9)
+
+
+def spectral_matrix(rng, n, psd, spread, top=(1.0,)):
+    """U diag(lam) U* for a Haar U and lam the eigenvalues *top* followed by
+    n - len(top) drawn from [0, spread] when *psd*, else [-spread, spread].
+    Returns the matrix, U and lam."""
+    lam = np.concatenate([top, rng.uniform(0.0 if psd else -spread, spread, size=n - len(top))])
+    u = random_unitary(rng, n)
+    return with_eigenpairs(u, lam), u, lam
+
+
+def with_eigenpairs(u, lam):
+    m = (u * lam) @ u.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+def random_vector(rng, n):
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+WARM_MATRICES = dict(
+    seed=st.integers(0, 2 ** 32 - 1),
+    n=st.integers(17, 80),
+    psd=st.booleans(),
+    # Small spreads leave the top eigenvalue dominant, where the warm
+    # start is certified; large ones send most calls to eigh.
+    spread=st.one_of(st.floats(0.0, 0.05), st.floats(0.05, 0.99)),
+)
+
+
+class TestTopEigenpair:
+    """top_eigenpair with a warm start against eigh's top pair, at the
+    sizes where the warm start is tried."""
+
+    @staticmethod
+    def check(m, start):
+        w, _ = np.linalg.eigh(m)
+        fro = np.linalg.norm(m)
+        val, vec = top_eigenpair(m, start)
+        assert abs(val - w[-1]) <= 1e-12 * fro
+        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+        assert np.linalg.norm(m @ vec - val * vec) <= 1e-11 * fro
+
+    @settings(max_examples=60)
+    @given(**WARM_MATRICES, noise=st.floats(1e-9, 0.5))
+    def test_start_near_top(self, seed, n, psd, spread, noise):
+        rng = np.random.default_rng(seed)
+        m, u, _ = spectral_matrix(rng, n, psd, spread)
+        self.check(m, u[:, 0] + noise * random_vector(rng, n) / np.sqrt(n))
+
+    @settings(max_examples=40)
+    @given(**WARM_MATRICES)
+    def test_start_orthogonal_to_top(self, seed, n, psd, spread):
+        rng = np.random.default_rng(seed)
+        m, u, _ = spectral_matrix(rng, n, psd, spread)
+        x = random_vector(rng, n)
+        self.check(m, x - np.vdot(u[:, 0], x) * u[:, 0])
+
+    @settings(max_examples=40)
+    @given(**WARM_MATRICES, multiplicity=st.integers(2, 3), noise=st.sampled_from([0.0, 1e-6, 1e-2]))
+    def test_degenerate_top_reaches_eigh(self, seed, n, psd, spread, multiplicity, noise):
+        rng = np.random.default_rng(seed)
+        m, u, _ = spectral_matrix(rng, n, psd, spread, top=(1.0,) * multiplicity)
+        start = u[:, :multiplicity] @ random_vector(rng, multiplicity) + noise * random_vector(rng, n)
+        w, v = np.linalg.eigh(m)
+        idx = int(np.argmax(w))
+        val, vec = top_eigenpair(m, start)
+        assert val == w[idx]
+        assert np.array_equal(vec, v[:, idx])
+
+    def test_bare_tie_never_certified(self, ritz_answers):
+        # A top pair tied with nothing else left: |m|_F^2 = 2 lo^2 up to
+        # rounding, so only the rounding margin keeps the certificate out.
+        rng = np.random.default_rng(33)
+        for _ in range(300):
+            n = int(rng.integers(17, 40))
+            m, u, _ = spectral_matrix(rng, n, True, 0.0, top=(1.0, 1.0))
+            top_eigenpair(m, u[:, :2] @ random_vector(rng, 2))
+        assert ritz_answers == [False] * 300
+
+    @settings(max_examples=40)
+    @given(**WARM_MATRICES, gap=st.floats(1e-6, 0.5), turn=st.floats(0.0, 0.1))
+    def test_previous_top_across_a_crossing(self, seed, n, psd, spread, gap, turn):
+        # The top two eigenvalues swap, and the eigenvectors turn a little:
+        # the start is the old top eigenvector, now nearly the second.
+        rng = np.random.default_rng(seed)
+        before, u, lam = spectral_matrix(rng, n, psd, spread, top=(1.0, 1.0 - gap))
+        turned = u @ np.linalg.qr(np.eye(n) + turn * random_vector(rng, n * n).reshape(n, n))[0]
+        after = with_eigenpairs(turned, np.concatenate([lam[1::-1], lam[2:]]))
+        self.check(after, np.linalg.eigh(before)[1][:, -1])
+
+    def test_well_separated_top_answers_without_eigh(self, ritz_answers):
+        rng = np.random.default_rng(31)
+        m, u, _ = spectral_matrix(rng, 64, True, 0.01)
+        self.check(m, u[:, 0] + 1e-3 * random_vector(rng, 64))
+        assert ritz_answers == [True]
+
+    @pytest.mark.parametrize("n, warm", [(8, True), (16, True), (40, False)])
+    def test_cold_calls_are_eigh(self, ritz_answers, n, warm):
+        # Without a start, or at 16 x 16 and below, the pair is eigh's
+        # first-index top pair, bit for bit.
+        rng = np.random.default_rng(32)
+        m = random_hermitian(rng, n)
+        m[1, 1] = m[0, 0] = 50.0  # a near tie at the top
+        w, v = np.linalg.eigh(m)
+        idx = int(np.argmax(w))
+        val, vec = top_eigenpair(m, random_vector(rng, n) if warm else None)
+        assert val == w[idx]
+        assert np.array_equal(vec, v[:, idx])
+        assert ritz_answers == []
 
 
 class TestTraceNorm:
