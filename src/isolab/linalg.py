@@ -157,7 +157,7 @@ def _certified_ritz_pair(m: np.ndarray, start: np.ndarray):
     residual is met or it holds ``_KRYLOV_VECTORS`` vectors. The Ritz pair
     is then checked directly. With r the residual |m u - theta u| and
     lo = theta - r less a rounding margin, some eigenvalue lies in
-    [lo, theta + r]. It is the largest, and simple, when no two
+    [lo, theta + r]. For lo > 0 it is the largest, and simple, when no two
     eigenvalues can reach lo in magnitude: 2 lo^2 > |m|_F^2 = sum lambda^2,
     or failing that 2 lo^4 > |m m|_F^2 = sum lambda^4.
     """
