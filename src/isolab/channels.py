@@ -36,6 +36,16 @@ from .linalg import (
 )
 
 RANK_TOL = 1e-7
+# Mixing search (see _descend_opnorm): a restart stops once a step gains
+# less than SEARCH_GAIN_FLOOR, once the squared tangent gradient norm is
+# below SEARCH_GRAD_FLOOR, when no backtracked step passes the Armijo test
+# with constant SEARCH_ARMIJO, or after SEARCH_MAX_ITER steps. The
+# quasi-Newton model keeps the last SEARCH_MEMORY step pairs.
+SEARCH_GAIN_FLOOR = 1e-10
+SEARCH_GRAD_FLOOR = 1e-20
+SEARCH_ARMIJO = 1e-4
+SEARCH_MAX_ITER = 400
+SEARCH_MEMORY = 8
 MAX_SEARCH_DIM_IN = 16
 NEAR_ISOMETRY_PROBE_FLOOR = 0.5
 
@@ -100,6 +110,19 @@ def _output_opnorm(iso: np.ndarray, x: np.ndarray, n_ref: int = 0) -> float:
     f = f / np.sqrt(np.vdot(f, f).real)
     g = f @ f.conj().T if f.shape[0] <= f.shape[1] else f.conj().T @ f
     return float(np.linalg.eigvalsh(g)[-1])
+
+
+def _output_top_pair(iso: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top eigenpair of the channel output on the unit vector *x*, read off
+    the smaller Gram matrix of its unit-trace factor F = _lift(iso, x), as
+    in ``_output_opnorm``; a top eigenvector u of F* F lifts to F u."""
+    f = _lift(iso, x[:, None])
+    f = f / np.sqrt(np.vdot(f, f).real)
+    if f.shape[0] <= f.shape[1]:
+        return top_eigenpair(f @ f.conj().T)
+    val, u = top_eigenpair(f.conj().T @ f)
+    col = f @ u
+    return val, col / np.linalg.norm(col)
 
 
 def _check_cap(ch: ChannelHandle) -> None:
@@ -184,7 +207,8 @@ def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
 def _evaluate(kraus: np.ndarray, psi: np.ndarray, start=None):
     """Largest output eigenvalue of the extended channel on *psi*, its
     eigenvector v, the output slices W, and the top eigenvector u of their
-    Gram matrix, which warm-starts the next evaluation as *start*.
+    Gram matrix, which warm-starts the next evaluation as *start*. Given a
+    *start*, u is None unless the warm-started answer was certified.
 
     With w_k = (A_k Psi) flattened and W the r-by-D matrix of rows w_k, the
     output is W^T conj(W) = sum_k w_k w_k^*, whose nonzero spectrum equals
@@ -192,54 +216,107 @@ def _evaluate(kraus: np.ndarray, psi: np.ndarray, start=None):
     """
     r, d_out, d_in = kraus.shape
     w = (kraus.reshape(r * d_out, d_in) @ psi.reshape(d_in, d_in)).reshape(r, -1)
-    f, u = top_eigenpair(w.conj() @ w.T, start)
+    f, u, certified = top_eigenpair(w.conj() @ w.T, start, return_certified=True)
     v = w.T @ u
-    return f, v / np.linalg.norm(v), w, u
+    return f, v / np.linalg.norm(v), w, u if start is None or certified else None
 
 
 def _gradient(kraus: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Twice the gradient of the largest output eigenvalue with respect to
     conj(psi): 2 sum_k <v, w_k> A_k^* V, with V = v as a d_out-by-d_in
     matrix; the weighted sum of the A_k^* is the adjoint of one weighted
-    sum of the stacked operators."""
+    sum of the stacked operators. Its real view is the gradient on the
+    real view of psi."""
     r, d_out, d_in = kraus.shape
     b = ((w.conj() @ v) @ kraus.reshape(r, -1)).reshape(d_out, d_in)
     return 2.0 * (b.conj().T @ v.reshape(d_out, d_in)).reshape(-1)
 
 
-def _descend_opnorm(kraus: np.ndarray, psi: np.ndarray, max_iter: int = 400):
+def _tangent_gradient(kraus: np.ndarray, x: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Gradient at the real unit vector *x*, projected onto the sphere's
+    tangent space there."""
+    g = _gradient(kraus, w, v).view(float)
+    return g - (x @ g) * x
+
+
+def _descend_opnorm(kraus: np.ndarray, psi: np.ndarray):
     """Minimize the largest output eigenvalue over the unit sphere by
-    projected gradient descent with backtracking; the subgradient comes
-    from the top eigenvector. Stops when the improvement drops below
-    1e-10.
+    limited-memory BFGS on the real view x of psi; the subgradient comes
+    from the top eigenvector.
+
+    Each step moves along d = -H g, with g the tangent gradient and H the
+    two-loop product of the last SEARCH_MEMORY pairs (s, y) with s.y > 0,
+    both projected onto the tangent space where they are taken, started
+    from (s.y / y.y) I for the newest pair; d is projected there too.
+    Without pairs, or when d is not a descent direction, d is the unit
+    vector -g / |g| and the pairs are dropped. The step backtracks from
+    (x + d) / |x + d| by halving t in (x + t d) / |x + t d| until the
+    Armijo condition with constant SEARCH_ARMIJO holds. A restart stops
+    when |g|^2 < SEARCH_GRAD_FLOOR, when no step passes the Armijo test,
+    when a step gains less than SEARCH_GAIN_FLOOR, or after
+    SEARCH_MAX_ITER steps.
 
     Each candidate is evaluated warm from the last accepted evaluation's
-    Gram eigenvector; the value returned is evaluated cold, by eigh, at the
-    final input."""
+    Gram eigenvector until the first warm answer that fails its
+    certificate; the rest of the restart runs eigh. The value returned is
+    evaluated cold, by eigh, at the final input."""
+    x = psi.view(float)
+    n = x.size
+    s_mem = np.empty((SEARCH_MEMORY, n))
+    y_mem = np.empty((SEARCH_MEMORY, n))
+    rho = np.empty(SEARCH_MEMORY)
+    alpha = np.empty(SEARCH_MEMORY)
+    stored = newest = 0
     f, v, w, u = _evaluate(kraus, psi)
-    step = 0.5
-    for _ in range(max_iter):
-        g = _gradient(kraus, w, v)
-        g_tan = g - np.real(np.vdot(psi, g)) * psi
-        gn2 = float(np.real(np.vdot(g_tan, g_tan)))
-        if gn2 < 1e-20:
+    g = _tangent_gradient(kraus, x, w, v)
+    for _ in range(SEARCH_MAX_ITER):
+        gn2 = float(g @ g)
+        if gn2 < SEARCH_GRAD_FLOOR:
             break
-        step = min(step * 2.0, 1.0)
+        d = -g
+        ring = [(newest - i) % SEARCH_MEMORY for i in range(stored)]
+        for k in ring:
+            alpha[k] = rho[k] * (s_mem[k] @ d)
+            d -= alpha[k] * y_mem[k]
+        if stored:
+            d *= 1.0 / (rho[newest] * (y_mem[newest] @ y_mem[newest]))
+        for k in reversed(ring):
+            d += (alpha[k] - rho[k] * (y_mem[k] @ d)) * s_mem[k]
+        d -= (x @ d) * x
+        slope = float(g @ d)
+        if not (stored and slope < 0.0):
+            gn = np.sqrt(gn2)
+            d, slope, stored = -g / gn, -gn, 0
+        step = 1.0
         improved = False
         while step > 1e-16:
-            cand = psi - step * g_tan
-            cand = cand / np.linalg.norm(cand)
-            f_new, v_new, w_new, u_new = _evaluate(kraus, cand, u)
-            if f_new <= f - 1e-4 * step * gn2:
+            cand = x + step * d
+            cand /= np.linalg.norm(cand)
+            f_new, v_new, w_new, u_new = _evaluate(kraus, cand.view(complex), u)
+            if u_new is None:
+                u = None  # the first failed certificate ends warm starts
+            if f_new <= f + SEARCH_ARMIJO * step * slope:
                 improved = True
                 break
             step *= 0.5
         if not improved:
             break
+        g_new = _tangent_gradient(kraus, cand, w_new, v_new)
+        s_k = cand - x
+        s_k -= (cand @ s_k) * cand
+        y_k = g_new - (g - (cand @ g) * cand)
+        sy = float(s_k @ y_k)
+        if sy > 0.0:
+            newest = (newest + 1) % SEARCH_MEMORY
+            s_mem[newest], y_mem[newest], rho[newest] = s_k, y_k, 1.0 / sy
+            stored = min(stored + 1, SEARCH_MEMORY)
         gain = f - f_new
-        psi, f, v, w, u = cand, f_new, v_new, w_new, u_new
-        if gain < 1e-10:
+        x, f, v, w, g = cand, f_new, v_new, w_new, g_new
+        if u is not None:
+            u = u_new
+        if gain < SEARCH_GAIN_FLOOR:
             break
+    psi = x.view(complex)
     return psi, _evaluate(kraus, psi)[0]
 
 
@@ -251,11 +328,15 @@ def min_output_opnorm(
 
     The returned value is an upper bound on the true minimum; it is
     deterministic given the seed, and using more restarts with the same
-    seed never increases it. Each search step reads the top eigenpair of
-    an r-by-r Gram matrix, with r the Kraus rank of the channel: above
+    seed never increases it. Each restart descends by limited-memory BFGS
+    on the unit sphere: a quasi-Newton direction from the last 8 step
+    pairs, then Armijo backtracking from the unit step (see
+    ``_descend_opnorm``). Each evaluation reads the top eigenpair of an
+    r-by-r Gram matrix, with r the Kraus rank of the channel: above
     16 x 16 by a short Lanczos run warm-started from the previous step's
-    eigenvector when its answer is certified, else by one eigh. Each
-    restart's value is one eigh at its final input.
+    eigenvector when its answer is certified, else by one eigh; after the
+    first uncertified answer the restart uses eigh alone. Each restart's
+    value is one eigh at its final input.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -378,9 +459,7 @@ def extract_approx_isometry(
     iso = _isometry(ch)
     basis_states = _basis_probe_states(d_in)
     # On these PSD outputs the top eigenvalue is the operator norm.
-    norms, columns = zip(*(
-        top_eigenpair(DensityMatrix.from_factor(_lift(iso, v[:, None])).matrix) for v in basis_states
-    ))
+    norms, columns = zip(*(_output_top_pair(iso, v) for v in basis_states))
     # The extended output on the maximally entangled state must also stay
     # nearly pure; it catches uniform mixers whose unextended basis outputs
     # sit exactly at the floor.

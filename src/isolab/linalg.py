@@ -10,10 +10,13 @@ Conventions used across the package:
 
 Tolerance policy: structural invariants (Hermiticity, trace, norms,
 unitarity, Kraus completeness, the isometry condition) are checked at
-``TOL`` = 1e-9, algebraic identities are asserted at 1e-12 in the tests,
-and search outputs carry their own documented tolerances. A warm-started
-top eigenpair must reach a residual of ``RITZ_TOL`` = 1e-12 relative to the
-Frobenius norm before it stands in for ``eigh``.
+``TOL`` = 1e-9, and algebraic identities are asserted at 1e-12 in the
+tests. ``channels`` keeps the Kraus rank cut ``RANK_TOL`` = 1e-7 and,
+beside it, the mixing search's constants ``SEARCH_*``: gain floor 1e-10,
+squared-gradient floor 1e-20, Armijo constant 1e-4, 400 steps and a
+quasi-Newton memory of 8. A warm-started top eigenpair must reach a
+residual of ``RITZ_TOL`` = 1e-12 relative to the Frobenius norm before it
+stands in for ``eigh``.
 
 A matrix from outside the program is validated in full, once, where it
 enters; states the program forms itself are built from a factor (see
@@ -126,7 +129,7 @@ def fidelity(rho, sigma) -> float:
     return min(max(f, 0.0), 1.0)
 
 
-def top_eigenpair(m, start=None) -> tuple[float, np.ndarray]:
+def top_eigenpair(m, start=None, return_certified=False) -> tuple:
     """Largest eigenvalue of a Hermitian matrix and its eigenvector.
 
     Given a *start* vector near the top eigenvector and a matrix larger
@@ -136,16 +139,20 @@ def top_eigenpair(m, start=None) -> tuple[float, np.ndarray]:
     comes near the Ritz value. Otherwise, and always without *start*,
     ``eigh`` answers, and ties between numerically equal eigenvalues
     resolve to the first index, keeping downstream searches deterministic.
-    A degenerate top eigenvalue is never certified.
+    A degenerate top eigenvalue is never certified. With
+    *return_certified*, a third value says whether the Lanczos pair
+    answered.
     """
     m = as_matrix(m)
+    pair = None
     if start is not None and m.shape[0] > _KRYLOV_MIN_DIM:
         pair = _certified_ritz_pair(m, np.asarray(start, dtype=complex))
-        if pair is not None:
-            return pair
-    w, v = np.linalg.eigh(m)
-    idx = int(np.argmax(w))
-    return float(w[idx]), v[:, idx]
+    certified = pair is not None
+    if not certified:
+        w, v = np.linalg.eigh(m)
+        idx = int(np.argmax(w))
+        pair = float(w[idx]), v[:, idx]
+    return (*pair, certified) if return_certified else pair
 
 
 def _certified_ritz_pair(m: np.ndarray, start: np.ndarray):

@@ -71,7 +71,7 @@ def eigh_only(mp):
     import isolab.channels as channels
 
     real = channels.top_eigenpair
-    mp.setattr(channels, "top_eigenpair", lambda m, start=None: real(m))
+    mp.setattr(channels, "top_eigenpair", lambda m, start=None, **kw: real(m, **kw))
 
 
 @pytest.fixture
@@ -80,6 +80,15 @@ def choi_calls(monkeypatch):
     import isolab.channels as channels
 
     return _call_log(monkeypatch, channels.choi_of)
+
+
+@pytest.fixture
+def evaluate_calls(monkeypatch):
+    """Kraus tensors passed to the search's ``_evaluate`` while the test
+    runs, one per evaluation."""
+    import isolab.channels as channels
+
+    return _call_log(monkeypatch, channels._evaluate)
 
 
 @pytest.fixture

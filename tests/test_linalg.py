@@ -175,6 +175,23 @@ class TestTopEigenpair:
         assert val == w[idx]
         assert np.array_equal(vec, v[:, idx])
 
+    def test_return_certified_names_the_answering_path(self, ritz_answers):
+        rng = np.random.default_rng(35)
+        m, u, _ = spectral_matrix(rng, 64, True, 0.01)
+        tied, v, _ = spectral_matrix(rng, 40, True, 0.0, top=(1.0, 1.0))
+        cases = [
+            ((m, u[:, 0] + 1e-3 * random_vector(rng, 64)), True),
+            ((m,), False),
+            ((tied, v[:, :2] @ random_vector(rng, 2)), False),
+        ]
+        for args, certified in cases:
+            val, vec, flag = top_eigenpair(*args, return_certified=True)
+            assert flag is certified
+            plain_val, plain_vec = top_eigenpair(*args)
+            assert val == plain_val
+            assert np.array_equal(vec, plain_vec)
+        assert ritz_answers == [True, True, False, False]
+
     def test_bare_tie_never_certified(self, ritz_answers):
         # A top pair tied with nothing else left: |m|_F^2 = 2 lo^2 up to
         # rounding, so only the rounding margin keeps the certificate out.
