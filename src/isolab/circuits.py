@@ -2,7 +2,7 @@
 
 A circuit is an ordered list of gates acting on a register of qubits:
 unitary gates, a gate that appends an ancilla qubit in |0>, a gate that
-traces a qubit out, and named channel gates given by Kraus operators.
+traces a qubit out, and the named mixing channels.
 A circuit defines a quantum channel, and is compiled once to the channel's
 Stinespring isometry, from which its action is read (see Execution).
 
@@ -58,7 +58,12 @@ BUILTIN_UNITARIES = {
 for _m in BUILTIN_UNITARIES.values():
     _m.setflags(write=False)
 
-CHANNEL_NAMES = ("depolarize", "dephase", "cdepolarize")
+# Fewest and most (None: any) targets of each named channel, and the rule.
+_CHANNEL_ARITY = {
+    "depolarize": (1, None, "needs at least one target"),
+    "dephase": (1, 1, "takes a single target"),
+    "cdepolarize": (2, None, "needs a control and at least one target"),
+}
 
 
 class DimensionCapError(RuntimeError):
@@ -87,31 +92,6 @@ class CircuitParseError(Exception):
         super().__init__(f"line {line}: {message}")
         self.line = line
         self.message = message
-
-
-# ---------------------------------------------------------------------------
-# Kraus sets of the named channels
-# ---------------------------------------------------------------------------
-
-def depolarizing_kraus(dim: int) -> np.ndarray:
-    """Kraus operators |i><j| / sqrt(dim) of the uniform mixing channel
-    rho -> tr(rho) I/dim, stacked as (dim^2, dim, dim)."""
-    return np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim) / np.sqrt(dim)
-
-
-def dephasing_kraus() -> list[np.ndarray]:
-    """Kraus operators {|0><0|, |1><1|} killing qubit coherences."""
-    return [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
-
-
-def controlled_depolarizing_kraus(dim: int) -> np.ndarray:
-    """Kraus operators of the qubit-controlled uniform mixing channel on a
-    *dim*-dimensional target, stacked: identity when the control is |0>,
-    complete mixing when it is |1>."""
-    ops = np.zeros((dim * dim + 1, 2 * dim, 2 * dim), dtype=complex)
-    ops[0, :dim, :dim] = np.eye(dim)
-    ops[1:, dim:, dim:] = depolarizing_kraus(dim)
-    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -157,26 +137,19 @@ class TraceOut:
         return isinstance(other, TraceOut) and self.target == other.target
 
 
-@dataclass(eq=False)
+@dataclass
 class ChannelGate:
+    """A named mixing channel: ``depolarize`` replaces its targets by the
+    maximally mixed state, ``dephase`` kills the coherences of its one
+    target, and ``cdepolarize`` mixes targets[1:] when the control
+    targets[0] is |1> and leaves them alone when it is |0>."""
+
     name: str
     targets: tuple[int, ...]
-    kraus: np.ndarray  # the operators stacked as (r, 2^k, 2^k)
-    line: int = field(default=0, repr=False)
+    line: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self):
         self.targets = tuple(int(t) for t in self.targets)
-        m = np.array(self.kraus, dtype=complex)
-        m.setflags(write=False)
-        self.kraus = m
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChannelGate)
-            and self.name == other.name
-            and self.targets == other.targets
-            and np.array_equal(self.kraus, other.kraus)
-        )
 
 
 Gate = UnitaryGate | AddAncilla | TraceOut | ChannelGate
@@ -198,32 +171,17 @@ def unitary_gate(matrix, *targets: int) -> UnitaryGate:
     return UnitaryGate("umatrix", tuple(targets), np.asarray(matrix, dtype=complex))
 
 
-def _check_kraus_cap(name: str, count: int, dim: int) -> None:
-    """Refuse a Kraus tensor of *count* operators of *dim* x *dim* above
-    max_total_dim()**2 entries, the largest dense matrix the cap admits."""
-    entries, cap = count * dim * dim, max_total_dim()
-    if entries > cap * cap:
-        raise DimensionCapError(
-            f"{name} needs a Kraus tensor of {entries} complex entries ({16 * entries} bytes), "
-            f"over the cap of {cap}**2 (set ISOLAB_MAX_DIM to override)"
-        )
-
-
 def depolarize_gate(*targets: int) -> ChannelGate:
-    dim = 2 ** len(targets)
-    _check_kraus_cap("depolarize", dim * dim, dim)
-    return ChannelGate("depolarize", tuple(targets), depolarizing_kraus(dim))
+    return ChannelGate("depolarize", targets)
 
 
 def dephase_gate(target: int) -> ChannelGate:
-    return ChannelGate("dephase", (target,), tuple(dephasing_kraus()))
+    return ChannelGate("dephase", (target,))
 
 
 def cdepolarize_gate(control: int, *targets: int) -> ChannelGate:
     """Controlled mixing gate; the control qubit is the first stored target."""
-    dim = 2 ** len(targets)
-    _check_kraus_cap("cdepolarize", dim * dim + 1, 2 * dim)
-    return ChannelGate("cdepolarize", (control,) + tuple(targets), controlled_depolarizing_kraus(dim))
+    return ChannelGate("cdepolarize", (control,) + targets)
 
 
 @dataclass(eq=False)
@@ -395,34 +353,31 @@ def _parse_gate_line(tokens: list[str], lineno: int, count: int):
     if kw == "channel":
         if len(tokens) < 2:
             raise CircuitParseError(lineno, "channel needs a name")
-        sub = tokens[1]
-        if sub == "depolarize":
-            targets = tuple(_parse_int(t, lineno, "target") for t in tokens[2:])
-            if not targets:
-                raise CircuitParseError(lineno, "depolarize needs at least one target")
-            _check_targets(targets, count, lineno)
-            g = depolarize_gate(*targets)
-        elif sub == "dephase":
-            if len(tokens) != 3:
-                raise CircuitParseError(lineno, "dephase takes a single target")
-            t = _parse_int(tokens[2], lineno, "target")
-            _check_targets((t,), count, lineno)
-            g = dephase_gate(t)
-        elif sub == "cdepolarize":
-            if len(tokens) < 5 or tokens[3] != ":":
+        name, args, control = tokens[1], tokens[2:], ()
+        if name == "cdepolarize":
+            if len(args) < 3 or args[1] != ":":
                 raise CircuitParseError(
                     lineno, "cdepolarize needs 'channel cdepolarize <control> : <targets>'"
                 )
-            control = _parse_int(tokens[2], lineno, "control")
-            targets = tuple(_parse_int(t, lineno, "target") for t in tokens[4:])
-            _check_targets((control,) + targets, count, lineno)
-            g = cdepolarize_gate(control, *targets)
-        else:
-            raise CircuitParseError(lineno, f"unknown channel '{sub}'")
-        g.line = lineno
+            control, args = (_parse_int(args[0], lineno, "control"),), args[2:]
+        elif name not in _CHANNEL_ARITY:
+            raise CircuitParseError(lineno, f"unknown channel '{name}'")
+        g = ChannelGate(name, control + tuple(_parse_int(t, lineno, "target") for t in args), line=lineno)
+        _check_channel(g, count, lineno)
         return g, count
 
     raise CircuitParseError(lineno, f"unknown directive '{kw}'")
+
+
+def _check_channel(g: ChannelGate, count: int, line: int) -> None:
+    """A named channel with as many targets as its name takes, all in range
+    and distinct; it is trace-preserving by construction."""
+    if g.name not in _CHANNEL_ARITY:
+        raise CircuitParseError(line, f"unknown channel '{g.name}'")
+    least, most, rule = _CHANNEL_ARITY[g.name]
+    if len(g.targets) < least or (most is not None and len(g.targets) > most):
+        raise CircuitParseError(line, f"{g.name} {rule}")
+    _check_targets(g.targets, count, line)
 
 
 def validate_circuit(circuit: Circuit) -> None:
@@ -448,19 +403,7 @@ def validate_circuit(circuit: Circuit) -> None:
                 raise CircuitParseError(line, "non-unitary gate")
             _check_targets(g.targets, count, line)
         elif isinstance(g, ChannelGate):
-            dim = 2 ** len(g.targets)
-            if len(g.kraus) == 0:
-                raise CircuitParseError(line, "channel gate has no Kraus operators")
-            acc = np.zeros((dim, dim), dtype=complex)
-            for k in g.kraus:
-                if k.shape != (dim, dim):
-                    raise CircuitParseError(
-                        line, f"Kraus operators must be {dim}x{dim} for {len(g.targets)} target(s)"
-                    )
-                acc += k.conj().T @ k
-            if float(np.abs(acc - np.eye(dim)).max()) > TOL:
-                raise CircuitParseError(line, "not trace preserving")
-            _check_targets(g.targets, count, line)
+            _check_channel(g, count, line)
         elif isinstance(g, AddAncilla):
             count += 1
         elif isinstance(g, TraceOut):
@@ -512,21 +455,17 @@ def serialize_circuit(circuit: Circuit) -> str:
 # environment; everything else reads the channel off V. The output on x x^*
 # is F F^* for the factor F = _lift(V, x), so it needs no validation.
 
-def _apply_stacked(w: np.ndarray, ops: np.ndarray, targets, n: int) -> np.ndarray:
-    """Contract the stacked operators *ops*, shaped (r, 2^k, 2^k), into the
-    target qubits of *w*, shaped (d_env, 2^n, d_in). The operator index
-    joins the environment as its last factor: (d_env * r, 2^n, d_in)."""
+def _apply_unitary(w: np.ndarray, u: np.ndarray, targets, n: int) -> np.ndarray:
+    """Contract the 2^k x 2^k unitary *u* into the target qubits of *w*,
+    shaped (d_env, 2^n, d_in)."""
     k = len(targets)
-    r = ops.shape[0]
     d_env, _, d_in = w.shape
     t = w.reshape((d_env,) + (2,) * n + (d_in,))
-    out = np.tensordot(
-        ops.reshape((r,) + (2,) * (2 * k)), t, axes=(list(range(k + 1, 2 * k + 1)), [1 + q for q in targets])
-    )
-    # Axes of out: r, the targets, d_env, the other qubits in order, d_in.
+    out = np.tensordot(u.reshape((2,) * (2 * k)), t, axes=(list(range(k, 2 * k)), [1 + q for q in targets]))
+    # Axes of out: the targets, d_env, the other qubits in order, d_in.
     rest = [q for q in range(n) if q not in targets]
-    perm = [1 + targets.index(q) if q in targets else k + 2 + rest.index(q) for q in range(n)]
-    return out.transpose([k + 1, 0] + perm + [n + 2]).reshape(d_env * r, 2 ** n, d_in)
+    perm = [targets.index(q) if q in targets else k + 1 + rest.index(q) for q in range(n)]
+    return out.transpose([k] + perm + [n + 1]).reshape(w.shape)
 
 
 def _compress(w: np.ndarray) -> np.ndarray:
@@ -539,18 +478,57 @@ def _compress(w: np.ndarray) -> np.ndarray:
     return np.linalg.qr(w.reshape(d_env, d_sys * d_in), mode="r").reshape(-1, d_sys, d_in)
 
 
-def _apply_channel(w: np.ndarray, kraus: np.ndarray, targets, n: int) -> np.ndarray:
-    """Contract a channel gate's stacked Kraus tensor into the environment
-    of *w* in chunks of d_sys * d_in // d_env operators, compressing after
-    each chunk, so the working tensor never holds more than twice the
-    compressed environment."""
-    d_env, d_sys, d_in = w.shape
-    step = max(1, d_sys * d_in // d_env)
-    out = _apply_stacked(w, kraus[:step], targets, n)
-    for s in range(step, len(kraus), step):
-        out = np.concatenate([out, _apply_stacked(w, kraus[s:s + step], targets, n)])
-        out = _compress(out)
-    return out
+def _mix(w: np.ndarray, targets, n: int) -> np.ndarray:
+    """Uniform mixing rho -> tr_T(rho) (x) I/d_T of the target qubits T of
+    *w*, shaped (d_env, 2^n, d_in), as an array (a, b, 2^n, d_in) whose
+    environment is (a, b). The targets move into the environment as with
+    ``traceout``, giving rows (e, j); one thin QR compresses them to
+    d_rest * d_in when there are more (then a = 1). The pair
+    sum_y |y>_T |y>_env / sqrt(d_T) is attached with y before j, so an
+    uncompressed environment is (e, y, j), a = d_env: the order of the
+    Kraus operators |y><j| / sqrt(d_T) applied to each row e."""
+    k = len(targets)
+    d_env, _, d_in = w.shape
+    d_t, cols = 2 ** k, 2 ** (n - k) * d_in
+    order = [*targets, *(q for q in range(n) if q not in targets)]
+    t = w.reshape((d_env,) + (2,) * n + (d_in,)).transpose([0] + [1 + q for q in order] + [n + 1])
+    t = t.reshape(d_env, d_t, cols)
+    if d_env * d_t > cols:
+        t = np.linalg.qr(t.reshape(-1, cols), mode="r")[None]
+    a, b = t.shape[:2]
+    out = np.zeros((a, d_t, b) + (2,) * n + (d_in,), dtype=complex)
+    # Write label y into the environment and into the targets at once,
+    # through a view of out with the target axes first.
+    view = out.transpose([0, 1, 2] + [3 + q for q in order] + [n + 3])
+    y = np.arange(d_t)
+    t = t * (1.0 / np.sqrt(d_t))
+    view[(slice(None), y, slice(None)) + np.unravel_index(y, (2,) * k)] = t.reshape(
+        (a, b) + (2,) * (n - k) + (d_in,)
+    )
+    return out.reshape(a, d_t * b, 2 ** n, d_in)
+
+
+def _branch(w: np.ndarray, control: int, targets, n: int) -> np.ndarray:
+    """Dephase the control qubit of *w*, shaped (d_env, 2^n, d_in), and mix
+    *targets* (none for ``dephase``) on its |1> branch. The control-0 and
+    control-1 parts are stacked along the environment, control-0 first;
+    while the mixing keeps the rows e of *w*, within each row e, as the
+    Kraus operators would be applied."""
+    d_env, _, d_in = w.shape
+    t = np.moveaxis(w.reshape((d_env,) + (2,) * n + (d_in,)), 1 + control, 1)
+    part0 = t[:, 0].reshape(d_env, 1, -1, d_in)
+    part1 = t[:, 1].reshape(d_env, 1, -1, d_in)
+    if targets:
+        part1 = _mix(part1[:, 0], [q - (q > control) for q in targets], n - 1)
+    if part1.shape[0] != d_env:
+        part0 = part0.reshape(1, d_env, -1, d_in)
+    a, b0, b1 = part1.shape[0], part0.shape[1], part1.shape[1]
+    out = np.zeros((a, b0 + b1) + (2,) * n + (d_in,), dtype=complex)
+    view = np.moveaxis(out, 2 + control, 2)
+    qubits = (2,) * (n - 1) + (d_in,)
+    view[:, :b0, 0] = part0.reshape((a, b0) + qubits)
+    view[:, b0:, 1] = part1.reshape((a, b1) + qubits)
+    return out.reshape(-1, 2 ** n, d_in)
 
 
 def compile_circuit(circuit: Circuit) -> np.ndarray:
@@ -558,11 +536,12 @@ def compile_circuit(circuit: Circuit) -> np.ndarray:
     (d_out, d_env, d_in), from simulating all d_in basis columns at once.
 
     A unitary gate is one contraction on the system axes, ``ancilla``
-    appends a |0> axis, ``traceout`` moves the qubit into the environment,
-    and a channel gate contracts its stacked Kraus tensor into the
-    environment, a chunk of operators at a time. Whenever d_env exceeds
-    d_sys * d_in, which bounds the rank of the channel so far, a thin QR
-    compresses the environment to that size.
+    appends a |0> axis, and ``traceout`` moves the qubit into the
+    environment. ``depolarize`` is ``_mix`` on its targets; ``dephase`` and
+    ``cdepolarize`` are ``_branch`` on their control, with no targets and
+    with the rest. Whenever d_env exceeds d_sys * d_in, which bounds the
+    rank of the channel so far, a thin QR compresses the environment to
+    that size.
     """
     n = circuit.input_qubits
     d_in = 2 ** n
@@ -571,7 +550,7 @@ def compile_circuit(circuit: Circuit) -> np.ndarray:
     w = np.eye(d_in, dtype=complex)[None]
     for g in circuit.gates:
         if isinstance(g, UnitaryGate):
-            w = _apply_stacked(w, g.matrix[None], g.targets, n)
+            w = _apply_unitary(w, g.matrix, g.targets, n)
         elif isinstance(g, AddAncilla):
             w = np.stack([w, np.zeros_like(w)], axis=2).reshape(w.shape[0], -1, d_in)
             n += 1
@@ -579,10 +558,12 @@ def compile_circuit(circuit: Circuit) -> np.ndarray:
             t = np.moveaxis(w.reshape((w.shape[0],) + (2,) * n + (d_in,)), 1 + g.target, 1)
             n -= 1
             w = t.reshape(-1, 2 ** n, d_in)
-        elif isinstance(g, ChannelGate):
-            w = _apply_channel(w, g.kraus, g.targets, n)
+        elif isinstance(g, ChannelGate) and g.name == "depolarize":
+            w = _mix(w, g.targets, n).reshape(-1, 2 ** n, d_in)
+        elif isinstance(g, ChannelGate) and g.name in ("dephase", "cdepolarize"):
+            w = _branch(w, g.targets[0], g.targets[1:], n)
         else:
-            raise ValueError(f"unknown gate object {type(g).__name__}")
+            raise ValueError(f"cannot compile gate {g!r}")
         w = _compress(w)
     return np.ascontiguousarray(w.transpose(1, 0, 2))
 

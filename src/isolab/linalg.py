@@ -16,7 +16,18 @@ beside it, the mixing search's constants ``SEARCH_*``: gain floor 1e-10,
 squared-gradient floor 1e-20, Armijo constant 1e-4, 400 steps and a
 quasi-Newton memory of 8. A warm-started top eigenpair must reach a
 residual of ``RITZ_TOL`` = 1e-12 relative to the Frobenius norm before it
-stands in for ``eigh``.
+stands in for ``eigh``. The other cuts and slacks:
+
+* ``_psd_sqrt`` zeroes eigenvalues at or below 64 machine epsilons of the
+  largest before it takes square roots;
+* ``channels.extract_approx_isometry`` aligns a column's phase with the
+  first column's only where the overlap that fixes it exceeds 1e-12 in
+  modulus;
+* ``protocol.PROB_FLOOR`` = 1e-12 is the outcome probability below which
+  a swap test gives no post-state and the protocol stops after step 1;
+* ``protocol.BOUNDS_SLACK`` = 1e-6 is the slack of both
+  ``check_protocol_bounds`` checks;
+* ``reduction.REDUCTION_SLACK`` = 1e-3 is the slack of ``check_reduction``.
 
 A matrix from outside the program is validated in full, once, where it
 enters; states the program forms itself are built from a factor (see

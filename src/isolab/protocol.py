@@ -33,6 +33,9 @@ from .channels import (
 from .linalg import TOL, DensityMatrix, PureState, as_matrix
 
 PROB_FLOOR = 1e-12
+# Slack of both checks in check_protocol_bounds: the acceptance floor and
+# the 9 * eps ceiling each hold within it.
+BOUNDS_SLACK = 1e-6
 
 
 @dataclass
@@ -53,16 +56,6 @@ def _swap_probabilities(m: np.ndarray, d: int) -> tuple[float, float]:
     tr_m = float(np.real(np.trace(m)))
     tr_w_m = float(np.real(np.einsum("abba->", m.reshape(d, d, d, d))))
     return _clamp01((tr_m + tr_w_m) / 2.0), _clamp01((tr_m - tr_w_m) / 2.0)
-
-
-def _project(m: np.ndarray, d: int, sign: float) -> np.ndarray:
-    """(I + sign W) m (I + sign W) / 4 for the matrix *m* of two
-    *d*-dimensional factors, unnormalized."""
-    t = m.reshape(d, d, d, d)
-    w_m = t.transpose(1, 0, 2, 3)
-    m_w = t.transpose(0, 1, 3, 2)
-    w_m_w = t.transpose(1, 0, 3, 2)
-    return ((t + sign * w_m + sign * m_w + w_m_w) / 4.0).reshape(m.shape)
 
 
 def swap_test(rho) -> SwapTestResult:
@@ -189,12 +182,17 @@ def run_protocol_exact(ch: ChannelHandle, witness) -> ProtocolResult:
         return ProtocolResult(p1, 0.0, 0.0)
     t = _swap_observable(ch)
     _check_swap_observable(ch, t)
-    # <W_out> on the step-1 block, axes (a r b s | a' r' b' s'), normalized
-    # by its own trace so that rounding in the projection is not magnified
-    # by 1/p1; the reference swap pairs r with s' and s with r'.
-    block = _project(dm.matrix, d_in * d_in, 1.0)
-    w_out = np.einsum("abcd,csdrarbs->", t, block.reshape((d_in,) * 8))
-    p3 = _clamp01((1.0 - float(w_out.real) / float(np.real(np.trace(block)))) / 2.0)
+    # <W_out> on the step-1 block P rho P, P = (I + W)/2 for the copy swap
+    # W, over the block's trace (tr rho + tr W rho)/2, which is p1 before
+    # clamping. X = T (x) W_ref commutes with W, so tr(X P rho P) =
+    # (tr(X rho) + tr(X W rho))/2 and the block is never formed. Axes of
+    # rho: (a r b s | a' r' b' s'); the reference swap pairs r with s' and
+    # s with r', and W rho reads rho with the row copies exchanged.
+    view = dm.matrix.reshape((d_in,) * 8)
+    w_out = np.einsum("abcd,csdrarbs->", t, view) + np.einsum("abcd,drcsarbs->", t, view)
+    d2 = d_in * d_in
+    block_trace = np.trace(dm.matrix) + np.einsum("abba->", dm.matrix.reshape(d2, d2, d2, d2))
+    p3 = _clamp01((1.0 - float(w_out.real) / float(block_trace.real)) / 2.0)
     return ProtocolResult(p1, p3, p1 * p3)
 
 
@@ -298,7 +296,7 @@ def check_protocol_bounds(
         min_opnorm=m_val,
         p_accept=honest.p_accept,
         lower_bound=lower,
-        holds=honest.p_accept >= lower - 1e-6,
+        holds=honest.p_accept >= lower - BOUNDS_SLACK,
     )
 
     iso = exact_isometry_test(ch)
@@ -326,7 +324,7 @@ def check_protocol_bounds(
             epsilon_source=source,
             max_p_accept=max_p,
             upper_bound=9.0 * eps,
-            holds=max_p <= 9.0 * eps + 1e-6,
+            holds=max_p <= 9.0 * eps + BOUNDS_SLACK,
             n_witnesses=len(family),
             seed=seed,
         )

@@ -47,6 +47,8 @@ from .circuits import (
 from .linalg import PureState, top_eigenpair
 
 MAX_VERIFIER_QUBITS = 10
+# Slack of check_reduction: the found mixing meets its bound within it.
+REDUCTION_SLACK = 1e-3
 
 
 @dataclass(eq=False)
@@ -272,10 +274,10 @@ def check_reduction(
     m = min(m_search, m_explicit)
     if p <= epsilon:
         case, bound = "low-acceptance", 1.0 - epsilon
-        holds = m >= bound - 1e-3
+        holds = m >= bound - REDUCTION_SLACK
     elif p >= 1.0 - epsilon:
         case, bound = "high-acceptance", epsilon
-        holds = m <= bound + 1e-3
+        holds = m <= bound + REDUCTION_SLACK
     else:
         case, bound, holds = "gap", None, None
     return ReductionCheck(

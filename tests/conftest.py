@@ -242,6 +242,57 @@ def kraus_from_choi_oracle(j, d_in, rank_tol=RANK_TOL):
     ]
 
 
+def depolarizing_kraus(dim):
+    """Kraus operators |i><j| / sqrt(dim) of the uniform mixing channel
+    rho -> tr(rho) I/dim, stacked as (dim^2, dim, dim)."""
+    return np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim) / np.sqrt(dim)
+
+
+def dephasing_kraus():
+    """Kraus operators {|0><0|, |1><1|} killing qubit coherences, stacked."""
+    return np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+
+
+def controlled_depolarizing_kraus(dim):
+    """Kraus operators of the qubit-controlled uniform mixing channel on a
+    *dim*-dimensional target, stacked: identity when the control is |0>,
+    complete mixing when it is |1>."""
+    ops = np.zeros((dim * dim + 1, 2 * dim, 2 * dim), dtype=complex)
+    ops[0, :dim, :dim] = np.eye(dim)
+    ops[1:, dim:, dim:] = depolarizing_kraus(dim)
+    return ops
+
+
+def channel_kraus(g):
+    """Kraus operators of the named channel gate *g* on its targets."""
+    if g.name == "depolarize":
+        return depolarizing_kraus(2 ** len(g.targets))
+    if g.name == "dephase":
+        return dephasing_kraus()
+    assert g.name == "cdepolarize", g.name
+    return controlled_depolarizing_kraus(2 ** (len(g.targets) - 1))
+
+
+def kraus_dilation(ops, targets, count):
+    """Gates that apply the channel of the Kraus operators *ops*, each
+    2^k x 2^k, to *targets* of a *count*-qubit register by a Stinespring
+    dilation: ceil(log2 r) ancillas, one umatrix on the targets and the
+    ancillas whose ancilla-|0> columns are sum_k A_k (x) |k>, completed to
+    a unitary by QR, and the ancillas traced out."""
+    ops = np.asarray(ops, dtype=complex)
+    r, d = ops.shape[0], ops.shape[1]
+    m = (r - 1).bit_length()
+    dim = d * 2 ** m
+    iso = np.zeros((d, 2 ** m, d), dtype=complex)
+    iso[:, :r] = ops.transpose(1, 0, 2)
+    iso = iso.reshape(dim, d)
+    u = np.empty((dim, d, 2 ** m), dtype=complex)
+    u[:, :, 0] = iso
+    u[:, :, 1:] = np.linalg.qr(iso, mode="complete")[0][:, d:].reshape(dim, d, 2 ** m - 1)
+    ancillas = range(count, count + m)
+    return [AddAncilla()] * m + [unitary_gate(u.reshape(dim, dim), *targets, *ancillas)] + [TraceOut(count)] * m
+
+
 def kraus_apply_oracle(kraus_ops, mat):
     """sum_k A_k mat A_k*, one operator at a time."""
     d_out = kraus_ops[0].shape[0]
@@ -418,7 +469,7 @@ def density_oracle(circuit, mat, n_ref=0):
             n -= 1
             c -= 1
         elif isinstance(g, ChannelGate):
-            mat = _apply_kraus_mat(mat, g.kraus, g.targets, n)
+            mat = _apply_kraus_mat(mat, channel_kraus(g), g.targets, n)
         else:
             raise ValueError(f"unknown gate object {type(g).__name__}")
     return mat
@@ -552,7 +603,9 @@ def random_circuit(rng, max_in=3, max_total=4, isometry_only=False, n_gates=None
 def mixed_circuits(draw, max_in=2, max_total=4, isometry_only=False):
     """Circuits of builtin and umatrix gates, ancillas and, unless
     *isometry_only*, trace-outs and dephase, depolarize and cdepolarize
-    gates, with at most *max_total* qubits in flight."""
+    gates, with at most *max_total* qubits in flight. A "saturate" step
+    mixes one register two or three times over, so the environment reaches
+    its bound and the mixing compresses it inside the gate."""
     n_in = draw(st.integers(1, max_in))
     count = n_in
     gates = []
@@ -561,7 +614,7 @@ def mixed_circuits(draw, max_in=2, max_total=4, isometry_only=False):
         if count < max_total:
             kinds.append("ancilla")
         if not isometry_only:
-            kinds += ["dephase", "depolarize"]
+            kinds += ["dephase", "depolarize", "saturate"]
             if count > 1:
                 kinds += ["traceout", "cdepolarize"]
         kind = draw(st.sampled_from(kinds))
@@ -583,6 +636,10 @@ def mixed_circuits(draw, max_in=2, max_total=4, isometry_only=False):
             gates.append(dephase_gate(qubits[0]))
         elif kind == "depolarize":
             gates.append(depolarize_gate(*qubits[:k]))
-        else:
+        elif kind == "cdepolarize":
             gates.append(cdepolarize_gate(qubits[0], *qubits[1:1 + min(k, count - 1)]))
+        else:
+            controlled = count > 1 and draw(st.booleans())
+            mix = cdepolarize_gate(qubits[0], *qubits[1:]) if controlled else depolarize_gate(*qubits[:k])
+            gates += [mix] * draw(st.integers(2, 3))
     return Circuit(n_in, gates)

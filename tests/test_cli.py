@@ -447,12 +447,17 @@ class TestReduce:
         res = runner.invoke(main, ["reduce", path])
         assert res.exit_code == 2
 
-    def test_over_cap_mixing_gate_exit_code(self, runner, tmp_path):
-        # At epsilon 0.01 the mixing gate spans 7 qubits: a 16 GiB Kraus tensor.
+    def test_small_epsilon_check_holds(self, runner, tmp_path):
+        # At epsilon 0.03 the mixing gate spans 6 qubits, which as a Kraus
+        # tensor (1 GiB) was refused with exit code 3.
         path = write(tmp_path, "v.verifier", ACCEPT_IF_ONE)
-        res = runner.invoke(main, ["reduce", path, "--epsilon", "0.01", "--output", str(tmp_path / "i")])
-        assert res.exit_code == 3
-        assert "cdepolarize needs a Kraus tensor" in res.output
+        args = ["reduce", path, "--epsilon", "0.03", "--check", "--restarts", "2", "--output", str(tmp_path / "i")]
+        first, second = runner.invoke(main, args), runner.invoke(main, args)
+        assert first.exit_code == 0
+        assert first.output == second.output
+        check = json.loads(first.output)["results"]["check"]
+        assert check["case"] == "high-acceptance"
+        assert check["bound_holds"] is True
 
 
 class TestDeterminism:

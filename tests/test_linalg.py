@@ -22,10 +22,11 @@ from isolab import (
     operator_norm,
     partial_trace,
     purity_metrics,
+    swap_test,
     top_eigenpair,
     trace_norm,
 )
-from isolab.protocol import _project, _swap_probabilities
+from isolab.protocol import _swap_probabilities
 
 
 class TestTensor:
@@ -347,7 +348,7 @@ class TestProjectors:
 
     def test_qubit_antisymmetric_rank_one(self):
         _, p_minus = sym_antisym_projectors(2)
-        got = _project(np.eye(4, dtype=complex), 2, -1.0)
+        got = swap_test(DensityMatrix.maximally_mixed(4)).post_antisymmetric.matrix
         assert np.abs(got - p_minus).max() < 1e-12
         assert np.linalg.matrix_rank(got) == 1
 
@@ -362,16 +363,14 @@ class TestProjectors:
         p_plus, p_minus = sym_antisym_projectors(dim)
         rng = np.random.default_rng(20 + dim)
         dd = dim * dim
-        m = rng.normal(size=(dd, dd)) + 1j * rng.normal(size=(dd, dd))
-        plus, minus = _project(m, dim, 1.0), _project(m, dim, -1.0)
-        assert np.abs(plus - p_plus @ m @ p_plus).max() < 1e-12
-        assert np.abs(minus - p_minus @ m @ p_minus).max() < 1e-12
-        assert np.abs(_project(plus, dim, 1.0) - plus).max() < 1e-12
-        assert np.abs(_project(plus, dim, -1.0)).max() < 1e-12
         rho = random_density(rng, dd).matrix
         p_sym, p_anti = _swap_probabilities(rho, dim)
         assert p_sym == pytest.approx(float(np.real(np.trace(p_plus @ rho))), abs=1e-12)
         assert p_anti == pytest.approx(float(np.real(np.trace(p_minus @ rho))), abs=1e-12)
+        res = swap_test(rho)
+        for post, proj, p in ((res.post_symmetric, p_plus, p_sym), (res.post_antisymmetric, p_minus, p_anti)):
+            assert np.abs(post.matrix - proj @ rho @ proj / p).max() < 1e-12
+            assert np.abs(proj @ post.matrix @ proj - post.matrix).max() < 1e-12
 
     def test_swap_operator_action(self):
         w = swap_operator(3)

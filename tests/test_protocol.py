@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     choi_rank_oracle,
     circuit_swap_test_probs,
+    kraus_dilation,
     kraus_from_choi_oracle,
     parallel_extended_output_oracle,
     random_circuit,
@@ -16,10 +17,10 @@ from conftest import (
     random_kraus,
     random_pure,
     swap_operator,
+    sym_antisym_projectors,
 )
 from isolab import (
     AddAncilla,
-    ChannelGate,
     ChannelHandle,
     Circuit,
     DimensionCapError,
@@ -211,16 +212,16 @@ def kraus_channel(rng, n_in, shape, rank):
     """Circuit running a random channel of *rank* Kraus operators on all of
     its qubits, after adding an ancilla ("grow": d_out = 2 d_in) or before
     tracing out the last qubit ("shrink": d_out = d_in / 2), with the Kraus
-    operators of the whole circuit derived from those of the gate."""
+    operators of the whole circuit derived from those of the channel."""
     n = n_in + 1 if shape == "grow" else n_in
     ops = random_kraus(rng, 2 ** n, 2 ** n, rank)
-    mix = ChannelGate("kraus", tuple(range(n)), tuple(ops))
+    mix = kraus_dilation(ops, range(n), n)
     if shape == "grow":
         # The ancilla is the last qubit, so |x> becomes |x>|0> at index 2x.
         embed = np.eye(2 ** n)[:, ::2]
-        return Circuit(n_in, [AddAncilla(), mix]), [a @ embed for a in ops]
+        return Circuit(n_in, [AddAncilla(), *mix]), [a @ embed for a in ops]
     # Tracing out the last qubit in outcome m keeps the rows 2y + m.
-    return Circuit(n_in, [mix, TraceOut(n - 1)]), [a[m::2] for a in ops for m in (0, 1)]
+    return Circuit(n_in, [*mix, TraceOut(n - 1)]), [a[m::2] for a in ops for m in (0, 1)]
 
 
 # (n_in, shape, gate Kraus rank, Kraus rank of the whole channel)
@@ -266,7 +267,7 @@ class TestParallelExtendedOutput:
         # One input qubit, four output qubits: d_out = 8 d_in.
         rng = np.random.default_rng(75)
         ops = random_kraus(rng, 16, 16, 3)
-        circ = Circuit(1, [AddAncilla()] * 3 + [ChannelGate("kraus", (0, 1, 2, 3), tuple(ops))])
+        circ = Circuit(1, [AddAncilla()] * 3 + kraus_dilation(ops, (0, 1, 2, 3), 4))
         ch = ChannelHandle(circ)
         assert (ch.dim_in, ch.dim_out) == (2, 16)
         # The ancillas are the last qubits, so |x> becomes |x>|000> at 8x.
@@ -343,6 +344,26 @@ class TestParallelExtendedOutput:
             tracemalloc.stop()
         assert 0.0 < res.p_accept < 0.5
         assert peak < (ch.dim_out * ch.dim_in) ** 4 * 16
+
+
+    def test_mixed_witness_scored_without_a_second_block(self):
+        # At 2 input qubits a witness is 256 x 256, 1 MiB; its projection
+        # onto the symmetric subspace would be one more of that size.
+        rng = np.random.default_rng(32)
+        noisy = append_output_depolarizing(parse_circuit("qubits 2\ngate H 0\ngate CNOT 0 1\n"), 0.3)
+        ch = ChannelHandle(noisy)
+        witness = random_density(rng, ch.dim_in ** 4)
+        tracemalloc.start()
+        try:
+            res = run_protocol_exact(ch, witness)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < witness.matrix.nbytes
+        p_plus, _ = sym_antisym_projectors(ch.dim_in ** 2)
+        block = p_plus @ witness.matrix @ p_plus
+        w_out = pulled_back_expectation(ch, block) / np.trace(block)
+        assert res.p_step3_antisymmetric_given_step1 == pytest.approx((1.0 - w_out.real) / 2.0, abs=1e-12)
 
 
 class TestNearIsometry:

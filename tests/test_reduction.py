@@ -3,13 +3,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import completeness_defect_oracle, kraus_apply_oracle, random_pure, random_unitary
+from conftest import (
+    completeness_defect_oracle,
+    controlled_depolarizing_kraus,
+    depolarizing_kraus,
+    kraus_apply_oracle,
+    random_pure,
+    random_unitary,
+)
 from isolab import (
     ChannelHandle,
     CircuitParseError,
     Circuit,
     DensityMatrix,
-    DimensionCapError,
     apply_circuit,
     apply_extended,
     build_instance,
@@ -23,7 +29,6 @@ from isolab import (
     unitary_gate,
     witness_injection,
 )
-from isolab.circuits import controlled_depolarizing_kraus, depolarizing_kraus
 from isolab.reduction import VerifierSpec
 
 ACCEPT_IF_ONE = """witness: 0
@@ -227,18 +232,19 @@ class TestBuildInstance:
             inst = build_instance(v, eps)
             assert 2 ** inst.channel_circuit.output_qubits * eps > 2.0
 
-    def test_over_cap_mixing_refused_before_allocation(self):
-        # At epsilon 0.01 the mixing block spans 7 qubits, so cdepolarize
-        # would need (4^7 + 1) 4^8 entries, 16 GiB.
+    def test_small_epsilon_instance_stays_small(self):
+        # At epsilon 0.01 the mixing block spans 7 qubits; as a Kraus tensor
+        # its cdepolarize gate would have held (4^7 + 1) 4^8 entries, 16 GiB.
         v = parse_verifier(ACCEPT_IF_ONE)
         tracemalloc.start()
         try:
-            with pytest.raises(DimensionCapError, match="cdepolarize"):
-                build_instance(v, 0.01)
+            inst = build_instance(v, 0.01)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 2 ** 20
+        assert peak < 2 ** 20
+        assert inst.mixing_dim == 128
+        assert 2 ** inst.channel_circuit.output_qubits * 0.01 > 2.0
 
     def test_epsilon_range(self):
         v = parse_verifier(ACCEPT_IF_ONE)
