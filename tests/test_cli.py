@@ -448,8 +448,8 @@ class TestReduce:
         assert res.exit_code == 2
 
     def test_small_epsilon_check_holds(self, runner, tmp_path):
-        # At epsilon 0.03 the mixing gate spans 6 qubits, which as a Kraus
-        # tensor (1 GiB) was refused with exit code 3.
+        # At epsilon 0.03 the mixing gate spans 6 qubits; as a Kraus tensor
+        # it would need 1 GiB.
         path = write(tmp_path, "v.verifier", ACCEPT_IF_ONE)
         args = ["reduce", path, "--epsilon", "0.03", "--check", "--restarts", "2", "--output", str(tmp_path / "i")]
         first, second = runner.invoke(main, args), runner.invoke(main, args)

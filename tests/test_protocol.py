@@ -345,7 +345,6 @@ class TestParallelExtendedOutput:
         assert 0.0 < res.p_accept < 0.5
         assert peak < (ch.dim_out * ch.dim_in) ** 4 * 16
 
-
     def test_mixed_witness_scored_without_a_second_block(self):
         # At 2 input qubits a witness is 256 x 256, 1 MiB; its projection
         # onto the symmetric subspace would be one more of that size.
