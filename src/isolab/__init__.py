@@ -36,17 +36,13 @@ from .circuits import (
     TraceOut,
     UnitaryGate,
     append_output_depolarizing,
-    apply_circuit,
-    apply_circuit_matrix,
     cdepolarize_gate,
     compile_circuit,
     dephase_gate,
-    depolarize_gate,
     gate,
     isometry_matrix,
     parse_circuit,
     serialize_circuit,
-    unitary_gate,
     validate_circuit,
 )
 from .linalg import (
@@ -56,7 +52,6 @@ from .linalg import (
     fidelity,
     maximally_entangled_state,
     operator_norm,
-    partial_trace,
     purity_metrics,
     top_eigenpair,
     trace_norm,

@@ -16,14 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import (
-    DEFAULT_MAX_DIM,
     Circuit,
     DimensionCapError,
-    _apply_isometry,
     _lift,
     compile_circuit,
     max_total_dim,
-    validate_circuit,
 )
 from .linalg import (
     TOL,
@@ -57,17 +54,14 @@ class NotNearIsometryError(ValueError):
 
 @dataclass(eq=False)
 class ChannelHandle:
-    """A channel given by its circuit, with dimension bookkeeping. The
-    compiled isometry and the minimal Kraus set derived from it are
-    computed on first use and kept with the handle, so the circuit must not
-    change afterwards."""
+    """A channel given by its circuit, which validated itself when it was
+    built, with dimension bookkeeping. The compiled isometry and the
+    minimal Kraus set derived from it are computed on first use and kept
+    with the handle."""
 
     circuit: Circuit
     _isometry: np.ndarray | None = field(default=None, init=False, repr=False)
     _kraus: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        validate_circuit(self.circuit)
 
     @property
     def n_in(self) -> int:
@@ -472,10 +466,12 @@ def extract_approx_isometry(
             f"channel is not near-isometric: probe output largest eigenvalue "
             f"{floor:.4f} < {NEAR_ISOMETRY_PROBE_FLOOR}"
         )
+    # The channel's action on |0><i| is F_0 F_i* for the factors
+    # F_i = _lift(iso, |i>).
+    lifts = [_lift(iso, v[:, None]) for v in basis_states]
     phases = [1.0 + 0.0j]
     for i in range(1, d_in):
-        x = _apply_isometry(iso, basis_states[0][:, None], basis_states[i][:, None])
-        u, _, vh = np.linalg.svd(x)
+        u, _, vh = np.linalg.svd(lifts[0] @ lifts[i].conj().T)
         w = np.vdot(columns[0], u[:, 0]) * np.vdot(vh[0].conj(), columns[i])
         phases.append(np.conj(w) / abs(w) if abs(w) > 1e-12 else 1.0 + 0.0j)
     a = np.stack([c * col for c, col in zip(phases, columns)], axis=1)
@@ -484,7 +480,8 @@ def extract_approx_isometry(
     worst_opnorm = 1.0
     for label, v in _probe_family(ch, seed, n_random):
         proj = np.outer(v, v.conj())
-        out = _apply_isometry(iso, v[:, None], v[:, None])
+        f = _lift(iso, v[:, None])
+        out = f @ f.conj().T
         worst_opnorm = min(worst_opnorm, operator_norm(out))
         dist = trace_norm(out - a @ proj @ a.conj().T)
         dists[label] = max(dists[label], dist)

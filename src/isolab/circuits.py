@@ -1,6 +1,6 @@
 """Mixed-state circuit intermediate representation.
 
-A circuit is an ordered list of gates acting on a register of qubits:
+A circuit is an ordered tuple of gates acting on a register of qubits:
 unitary gates, a gate that appends an ancilla qubit in |0>, a gate that
 traces a qubit out, and the named mixing channels.
 A circuit defines a quantum channel, and is compiled once to the channel's
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import TOL, DensityMatrix
+from .linalg import TOL
 
 DEFAULT_MAX_DIM = 2 ** 12
 
@@ -98,7 +98,7 @@ class CircuitParseError(Exception):
 # Gate and circuit types
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class UnitaryGate:
     name: str
     targets: tuple[int, ...]
@@ -106,10 +106,10 @@ class UnitaryGate:
     line: int = field(default=0, repr=False)
 
     def __post_init__(self):
-        self.targets = tuple(int(t) for t in self.targets)
+        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
         m = np.array(self.matrix, dtype=complex)
         m.setflags(write=False)
-        self.matrix = m
+        object.__setattr__(self, "matrix", m)
 
     def __eq__(self, other):
         return (
@@ -120,7 +120,7 @@ class UnitaryGate:
         )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class AddAncilla:
     line: int = field(default=0, repr=False)
 
@@ -128,7 +128,7 @@ class AddAncilla:
         return isinstance(other, AddAncilla)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class TraceOut:
     target: int
     line: int = field(default=0, repr=False)
@@ -137,7 +137,7 @@ class TraceOut:
         return isinstance(other, TraceOut) and self.target == other.target
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelGate:
     """A named mixing channel: ``depolarize`` replaces its targets by the
     maximally mixed state, ``dephase`` kills the coherences of its one
@@ -149,30 +149,17 @@ class ChannelGate:
     line: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self):
-        self.targets = tuple(int(t) for t in self.targets)
+        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
 
 
 Gate = UnitaryGate | AddAncilla | TraceOut | ChannelGate
 
 
 def gate(name: str, *targets: int) -> UnitaryGate:
-    """Builtin unitary gate by name."""
+    """Builtin unitary gate by name; the circuit it joins checks its arity."""
     if name not in BUILTIN_UNITARIES:
         raise ValueError(f"unknown gate name '{name}'")
-    m = BUILTIN_UNITARIES[name]
-    arity = m.shape[0].bit_length() - 1
-    if len(targets) != arity:
-        raise ValueError(f"gate {name} takes {arity} target(s), got {len(targets)}")
-    return UnitaryGate(name, tuple(targets), m)
-
-
-def unitary_gate(matrix, *targets: int) -> UnitaryGate:
-    """Explicit-matrix unitary gate on the given targets."""
-    return UnitaryGate("umatrix", tuple(targets), np.asarray(matrix, dtype=complex))
-
-
-def depolarize_gate(*targets: int) -> ChannelGate:
-    return ChannelGate("depolarize", targets)
+    return UnitaryGate(name, targets, BUILTIN_UNITARIES[name])
 
 
 def dephase_gate(target: int) -> ChannelGate:
@@ -184,10 +171,19 @@ def cdepolarize_gate(control: int, *targets: int) -> ChannelGate:
     return ChannelGate("cdepolarize", (control,) + targets)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Circuit:
+    """A register of *input_qubits* qubits and the gates applied to it in
+    order. It is validated once, here, by ``validate_circuit``, and its
+    gates are kept as a tuple: every circuit that exists is valid and stays
+    as it was built."""
+
     input_qubits: int
-    gates: list = field(default_factory=list)
+    gates: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "gates", tuple(self.gates))
+        validate_circuit(self)
 
     @property
     def output_qubits(self) -> int:
@@ -209,8 +205,7 @@ class Circuit:
         return (
             isinstance(other, Circuit)
             and self.input_qubits == other.input_qubits
-            and len(self.gates) == len(other.gates)
-            and all(a == b for a, b in zip(self.gates, other.gates))
+            and self.gates == other.gates
         )
 
 
@@ -267,10 +262,14 @@ def _check_targets(targets: tuple[int, ...], count: int, lineno: int) -> None:
 
 
 def parse_circuit(source: str) -> Circuit:
-    """Parse circuit text; raises CircuitParseError with the offending line."""
+    """Parse circuit text; raises CircuitParseError with the offending line.
+
+    The parser reads syntax only: directives, literals, builtin gate names
+    and the umatrix entry count. Every rule about qubits and matrices is
+    checked once, by the ``Circuit`` it builds, so a syntax error anywhere
+    is reported before a semantic error on an earlier line."""
     n_qubits = None
     gates: list = []
-    count = 0
     for lineno, raw in enumerate(source.splitlines(), 1):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -284,18 +283,14 @@ def parse_circuit(source: str) -> Circuit:
             n_qubits = _parse_int(tokens[1], lineno, "qubit count")
             if n_qubits < 1:
                 raise CircuitParseError(lineno, "qubit count must be at least 1")
-            count = n_qubits
             continue
-        g, count = _parse_gate_line(tokens, lineno, count)
-        gates.append(g)
+        gates.append(_parse_gate_line(tokens, lineno))
     if n_qubits is None:
         raise CircuitParseError(1, "missing qubits header")
-    circuit = Circuit(n_qubits, gates)
-    validate_circuit(circuit)
-    return circuit
+    return Circuit(n_qubits, gates)
 
 
-def _parse_gate_line(tokens: list[str], lineno: int, count: int):
+def _parse_gate_line(tokens: list[str], lineno: int) -> Gate:
     kw = tokens[0]
     if kw == "gate":
         if len(tokens) < 3:
@@ -304,11 +299,7 @@ def _parse_gate_line(tokens: list[str], lineno: int, count: int):
         if name not in BUILTIN_UNITARIES:
             raise CircuitParseError(lineno, f"unknown gate name '{name}'")
         targets = tuple(_parse_int(t, lineno, "target") for t in tokens[2:])
-        arity = BUILTIN_UNITARIES[name].shape[0].bit_length() - 1
-        if len(targets) != arity:
-            raise CircuitParseError(lineno, f"gate {name} takes {arity} target(s)")
-        _check_targets(targets, count, lineno)
-        return UnitaryGate(name, targets, BUILTIN_UNITARIES[name], line=lineno), count
+        return UnitaryGate(name, targets, BUILTIN_UNITARIES[name], line=lineno)
 
     if kw == "umatrix":
         if ":" not in tokens:
@@ -328,27 +319,17 @@ def _parse_gate_line(tokens: list[str], lineno: int, count: int):
             values = _parse_complex_row(" ".join(entries))
         except ValueError as exc:
             raise CircuitParseError(lineno, str(exc)) from None
-        m = np.array(values, dtype=complex).reshape(dim, dim)
-        if not np.all(np.isfinite(m)):
-            raise CircuitParseError(lineno, "matrix entries must be finite")
-        # A unitary's entries lie in the unit disc; larger ones are refused
-        # before the product, which overflows above about 1e154.
-        if np.abs(m).max() > 1.0 + TOL or float(np.abs(m.conj().T @ m - np.eye(dim)).max()) > TOL:
-            raise CircuitParseError(lineno, "non-unitary gate")
-        _check_targets(targets, count, lineno)
-        return UnitaryGate("umatrix", targets, m, line=lineno), count
+        return UnitaryGate("umatrix", targets, np.array(values, dtype=complex).reshape(dim, dim), line=lineno)
 
     if kw == "ancilla":
         if len(tokens) != 1:
             raise CircuitParseError(lineno, "ancilla takes no arguments")
-        return AddAncilla(line=lineno), count + 1
+        return AddAncilla(line=lineno)
 
     if kw == "traceout":
         if len(tokens) != 2:
             raise CircuitParseError(lineno, "traceout takes a single target")
-        t = _parse_int(tokens[1], lineno, "target")
-        _check_targets((t,), count, lineno)
-        return TraceOut(t, line=lineno), count - 1
+        return TraceOut(_parse_int(tokens[1], lineno, "target"), line=lineno)
 
     if kw == "channel":
         if len(tokens) < 2:
@@ -360,30 +341,15 @@ def _parse_gate_line(tokens: list[str], lineno: int, count: int):
                     lineno, "cdepolarize needs 'channel cdepolarize <control> : <targets>'"
                 )
             control, args = (_parse_int(args[0], lineno, "control"),), args[2:]
-        elif name not in _CHANNEL_ARITY:
-            raise CircuitParseError(lineno, f"unknown channel '{name}'")
-        g = ChannelGate(name, control + tuple(_parse_int(t, lineno, "target") for t in args), line=lineno)
-        _check_channel(g, count, lineno)
-        return g, count
+        return ChannelGate(name, control + tuple(_parse_int(t, lineno, "target") for t in args), line=lineno)
 
     raise CircuitParseError(lineno, f"unknown directive '{kw}'")
 
 
-def _check_channel(g: ChannelGate, count: int, line: int) -> None:
-    """A named channel with as many targets as its name takes, all in range
-    and distinct; it is trace-preserving by construction."""
-    if g.name not in _CHANNEL_ARITY:
-        raise CircuitParseError(line, f"unknown channel '{g.name}'")
-    least, most, rule = _CHANNEL_ARITY[g.name]
-    if len(g.targets) < least or (most is not None and len(g.targets) > most):
-        raise CircuitParseError(line, f"{g.name} {rule}")
-    _check_targets(g.targets, count, line)
-
-
 def validate_circuit(circuit: Circuit) -> None:
     """Check every gate invariant; raises CircuitParseError on the first
-    violation. Gates built programmatically report the line they would
-    occupy in serialized form."""
+    violation. ``Circuit`` runs it once, when it is built; gates built
+    programmatically report the line they would occupy in serialized form."""
     if circuit.input_qubits < 1:
         raise CircuitParseError(1, "qubit count must be at least 1")
     count = circuit.input_qubits
@@ -392,18 +358,28 @@ def validate_circuit(circuit: Circuit) -> None:
         line = g.line or pos + 2
         if isinstance(g, UnitaryGate):
             dim = 2 ** len(g.targets)
-            if g.matrix.shape != (dim, dim):
+            m, builtin = g.matrix, BUILTIN_UNITARIES.get(g.name)
+            if builtin is not None and builtin.shape != (dim, dim):
+                arity = builtin.shape[0].bit_length() - 1
+                raise CircuitParseError(line, f"gate {g.name} takes {arity} target(s)")
+            if m.shape != (dim, dim):
                 raise CircuitParseError(
                     line, f"gate matrix must be {dim}x{dim} for {len(g.targets)} target(s)"
                 )
-            if not np.all(np.isfinite(g.matrix)):
+            if not np.all(np.isfinite(m)):
                 raise CircuitParseError(line, "matrix entries must be finite")
-            m = g.matrix
+            # A unitary's entries lie in the unit disc; larger ones are
+            # refused before the product, which overflows above about 1e154.
             if np.abs(m).max() > 1.0 + TOL or float(np.abs(m.conj().T @ m - np.eye(dim)).max()) > TOL:
                 raise CircuitParseError(line, "non-unitary gate")
             _check_targets(g.targets, count, line)
         elif isinstance(g, ChannelGate):
-            _check_channel(g, count, line)
+            if g.name not in _CHANNEL_ARITY:
+                raise CircuitParseError(line, f"unknown channel '{g.name}'")
+            least, most, rule = _CHANNEL_ARITY[g.name]
+            if len(g.targets) < least or (most is not None and len(g.targets) > most):
+                raise CircuitParseError(line, f"{g.name} {rule}")
+            _check_targets(g.targets, count, line)
         elif isinstance(g, AddAncilla):
             count += 1
         elif isinstance(g, TraceOut):
@@ -431,17 +407,12 @@ def serialize_circuit(circuit: Circuit) -> str:
             lines.append("ancilla")
         elif isinstance(g, TraceOut):
             lines.append(f"traceout {g.target}")
-        elif isinstance(g, ChannelGate):
-            if g.name == "cdepolarize":
-                rest = " ".join(str(t) for t in g.targets[1:])
-                lines.append(f"channel cdepolarize {g.targets[0]} : {rest}")
-            elif g.name in ("depolarize", "dephase"):
-                ts = " ".join(str(t) for t in g.targets)
-                lines.append(f"channel {g.name} {ts}")
-            else:
-                raise ValueError(f"channel gate '{g.name}' has no text representation")
+        elif g.name == "cdepolarize":
+            rest = " ".join(str(t) for t in g.targets[1:])
+            lines.append(f"channel cdepolarize {g.targets[0]} : {rest}")
         else:
-            raise ValueError(f"unknown gate object {type(g).__name__}")
+            ts = " ".join(str(t) for t in g.targets)
+            lines.append(f"channel {g.name} {ts}")
     return "\n".join(lines) + "\n"
 
 
@@ -558,12 +529,10 @@ def compile_circuit(circuit: Circuit) -> np.ndarray:
             t = np.moveaxis(w.reshape((w.shape[0],) + (2,) * n + (d_in,)), 1 + g.target, 1)
             n -= 1
             w = t.reshape(-1, 2 ** n, d_in)
-        elif isinstance(g, ChannelGate) and g.name == "depolarize":
+        elif g.name == "depolarize":
             w = _mix(w, g.targets, n).reshape(-1, 2 ** n, d_in)
-        elif isinstance(g, ChannelGate) and g.name in ("dephase", "cdepolarize"):
-            w = _branch(w, g.targets[0], g.targets[1:], n)
         else:
-            raise ValueError(f"cannot compile gate {g!r}")
+            w = _branch(w, g.targets[0], g.targets[1:], n)
         w = _compress(w)
     return np.ascontiguousarray(w.transpose(1, 0, 2))
 
@@ -577,37 +546,6 @@ def _lift(v: np.ndarray, x: np.ndarray, n_ref: int = 0) -> np.ndarray:
     d_ref = 2 ** n_ref
     y = v.reshape(d_out * d_env, d_in) @ x.reshape(d_in, -1)
     return y.reshape(d_out, d_env, d_ref, -1).transpose(0, 2, 1, 3).reshape(d_out * d_ref, -1)
-
-
-def _apply_isometry(v: np.ndarray, left: np.ndarray, right: np.ndarray, n_ref: int = 0) -> np.ndarray:
-    """sum_e (V_e (x) I) left right^* (V_e (x) I)^* for V_e = v[:, e, :],
-    with the identity on *n_ref* trailing reference qubits. *left* and
-    *right* have d_in 2^n_ref rows and k columns each, so a rank-one input
-    such as a pure state costs one column."""
-    return _lift(v, left, n_ref) @ _lift(v, right, n_ref).conj().T
-
-
-def apply_circuit_matrix(circuit: Circuit, mat: np.ndarray, n_ref: int = 0) -> np.ndarray:
-    """Linear action of the circuit's channel on an arbitrary matrix.
-
-    *n_ref* trailing reference qubits ride along untouched; ancillas are
-    inserted between the circuit's own qubits and the reference block so
-    gate indices stay valid.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    n = circuit.input_qubits + n_ref
-    if mat.shape != (2 ** n, 2 ** n):
-        raise ValueError(
-            f"dimension mismatch: expected {2 ** n}x{2 ** n} input, got {mat.shape}"
-        )
-    return _apply_isometry(compile_circuit(circuit), mat, np.eye(2 ** n, dtype=complex), n_ref)
-
-
-def apply_circuit(circuit: Circuit, rho, n_ref: int = 0) -> DensityMatrix:
-    """Run the circuit on a density matrix and return a validated density
-    matrix. See apply_circuit_matrix for the reference-qubit convention."""
-    dm = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
-    return DensityMatrix(apply_circuit_matrix(circuit, dm.matrix, n_ref))
 
 
 def isometry_matrix(circuit: Circuit) -> np.ndarray:

@@ -31,7 +31,6 @@ from .circuits import (
     _parse_complex_row,
     parse_circuit,
     serialize_circuit,
-    validate_circuit,
 )
 from .linalg import PureState, purity_metrics
 from .protocol import honest_witness, run_protocol_exact, run_protocol_sampled
@@ -161,7 +160,6 @@ def main():
 def validate(path):
     """Parse and validate a circuit file."""
     circuit = _load_circuit(path)
-    validate_circuit(circuit)
     _emit(
         "validate",
         {"path": path},

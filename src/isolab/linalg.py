@@ -27,7 +27,15 @@ stands in for ``eigh``. The other cuts and slacks:
   a swap test gives no post-state and the protocol stops after step 1;
 * ``protocol.BOUNDS_SLACK`` = 1e-6 is the slack of both
   ``check_protocol_bounds`` checks;
-* ``reduction.REDUCTION_SLACK`` = 1e-3 is the slack of ``check_reduction``.
+* ``reduction.REDUCTION_SLACK`` = 1e-3 is the slack of ``check_reduction``;
+* ``channels.NEAR_ISOMETRY_PROBE_FLOOR`` = 0.5: ``extract_approx_isometry``
+  refuses a channel when a probe output's top eigenvalue falls below it;
+* ``channels.MAX_SEARCH_DIM_IN`` = 16 is the largest input dimension the
+  mixing search accepts;
+* ``channels._descend_opnorm`` ends a restart once its backtracked step
+  falls to 1e-16 without passing the Armijo test;
+* ``protocol.symmetric_witness_family`` redraws a symmetrized random
+  vector whose norm is below 1e-8.
 
 A matrix from outside the program is validated in full, once, where it
 enters; states the program forms itself are built from a factor (see
@@ -62,36 +70,6 @@ def is_hermitian(m) -> bool:
     if m.shape[0] != m.shape[1]:
         return False
     return float(np.abs(m - m.conj().T).max()) <= TOL
-
-
-def partial_trace(m, dims, keep) -> np.ndarray:
-    """Trace out all tensor factors of *m* except those listed in *keep*.
-
-    Parameters
-    ----------
-    m : matrix on the full product space, row-major factor order
-    dims : dimension of each tensor factor, factor 0 leftmost
-    keep : indices of the factors to retain (order in the result is
-        ascending regardless of the order given)
-    """
-    m = as_matrix(m)
-    dims = [int(d) for d in dims]
-    total = int(np.prod(dims)) if dims else 1
-    if m.shape != (total, total):
-        raise ValueError(
-            f"dimension mismatch: matrix is {m.shape}, factors give {total}"
-        )
-    keep = sorted({int(k) for k in keep})
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise ValueError("factor index out of range")
-    traced = [i for i in range(len(dims)) if i not in keep]
-    t = m.reshape(dims + dims)
-    n = len(dims)
-    for idx in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=idx, axis2=idx + n)
-        n -= 1
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return np.asarray(t, dtype=complex).reshape(d_keep, d_keep)
 
 
 def operator_norm(m) -> float:

@@ -225,8 +225,13 @@ def symmetric_witness_family(
     states projected onto the symmetric subspace."""
     _check_protocol_cap(ch)
     d_half = ch.dim_in ** 2
-    eye = np.eye(d_half, dtype=complex)
-    family = [honest_witness(ch, PureState(eye[:, i])) for i in range(d_half)]
+    # The honest witness on basis state i is the basis state i (d_half + 1)
+    # of the two copies, built at once from that exact unit factor.
+    family = []
+    for i in range(d_half):
+        e = np.zeros((d_half * d_half, 1), dtype=complex)
+        e[i * (d_half + 1)] = 1.0
+        family.append(DensityMatrix.from_factor(e))
     rng = np.random.default_rng(seed)
     while len(family) < d_half + n_random:
         v = rng.normal(size=d_half * d_half) + 1j * rng.normal(size=d_half * d_half)

@@ -42,7 +42,6 @@ from .circuits import (
     gate,
     isometry_matrix,
     parse_circuit,
-    validate_circuit,
 )
 from .linalg import PureState, top_eigenpair
 
@@ -226,10 +225,8 @@ def build_instance(v: VerifierSpec, epsilon: float) -> ReductionOutput:
     mix_targets = list(v.garbage_qubits) + list(range(n_out_body, n_out_body + pad))
     gates.append(dephase_gate(v.measured_qubit))
     gates.append(cdepolarize_gate(v.measured_qubit, *mix_targets))
-    circuit = Circuit(k, gates)
-    validate_circuit(circuit)
     return ReductionOutput(
-        channel_circuit=circuit,
+        channel_circuit=Circuit(k, gates),
         padding_qubits=pad,
         mixing_dim=2 ** len(mix_targets),
         measured_qubit=v.measured_qubit,

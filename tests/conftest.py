@@ -18,12 +18,11 @@ from isolab import (
     UnitaryGate,
     cdepolarize_gate,
     dephase_gate,
-    depolarize_gate,
     gate,
     maximally_entangled_state,
-    unitary_gate,
 )
 from isolab.channels import RANK_TOL
+from isolab.circuits import _lift, compile_circuit
 
 # Every @given test draws the same examples on every run and keeps no
 # example database, so the suite is deterministic.
@@ -290,7 +289,7 @@ def kraus_dilation(ops, targets, count):
     u[:, :, 0] = iso
     u[:, :, 1:] = np.linalg.qr(iso, mode="complete")[0][:, d:].reshape(dim, d, 2 ** m - 1)
     ancillas = range(count, count + m)
-    return [AddAncilla()] * m + [unitary_gate(u.reshape(dim, dim), *targets, *ancillas)] + [TraceOut(count)] * m
+    return [AddAncilla()] * m + [UnitaryGate("umatrix", (*targets, *ancillas), u.reshape(dim, dim))] + [TraceOut(count)] * m
 
 
 def kraus_apply_oracle(kraus_ops, mat):
@@ -475,6 +474,14 @@ def density_oracle(circuit, mat, n_ref=0):
     return mat
 
 
+def compiled_action(circuit, mat, n_ref=0):
+    """Linear action of the circuit's channel on *mat*, with *n_ref*
+    trailing reference qubits, read off the compiled isometry V:
+    sum_e (V_e (x) I) mat (V_e (x) I)^* = _lift(V, mat) _lift(V, I)^*."""
+    v = compile_circuit(circuit)
+    return _lift(v, mat, n_ref) @ _lift(v, np.eye(len(mat), dtype=complex), n_ref).conj().T
+
+
 def choi_oracle(circuit):
     """Choi matrix from running the circuit on half of the maximally
     entangled state."""
@@ -583,7 +590,7 @@ def random_circuit(rng, max_in=3, max_total=4, isometry_only=False, n_gates=None
         elif kind == "umatrix":
             k = 2 if count >= 2 and rng.random() < 0.4 else 1
             t = rng.choice(count, size=k, replace=False)
-            gates.append(unitary_gate(random_unitary(rng, 2 ** k), *(int(x) for x in t)))
+            gates.append(UnitaryGate("umatrix", t, random_unitary(rng, 2 ** k)))
         elif kind == "ancilla":
             gates.append(AddAncilla())
             count += 1
@@ -595,7 +602,7 @@ def random_circuit(rng, max_in=3, max_total=4, isometry_only=False, n_gates=None
         else:
             k = 2 if count >= 2 and rng.random() < 0.3 else 1
             t = rng.choice(count, size=k, replace=False)
-            gates.append(depolarize_gate(*(int(x) for x in t)))
+            gates.append(ChannelGate("depolarize", t))
     return Circuit(n_in, gates)
 
 
@@ -625,7 +632,7 @@ def mixed_circuits(draw, max_in=2, max_total=4, isometry_only=False):
             gates.append(gate(name, *qubits[:k]))
         elif kind == "umatrix":
             rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-            gates.append(unitary_gate(random_unitary(rng, 2 ** k), *qubits[:k]))
+            gates.append(UnitaryGate("umatrix", qubits[:k], random_unitary(rng, 2 ** k)))
         elif kind == "ancilla":
             gates.append(AddAncilla())
             count += 1
@@ -635,11 +642,11 @@ def mixed_circuits(draw, max_in=2, max_total=4, isometry_only=False):
         elif kind == "dephase":
             gates.append(dephase_gate(qubits[0]))
         elif kind == "depolarize":
-            gates.append(depolarize_gate(*qubits[:k]))
+            gates.append(ChannelGate("depolarize", qubits[:k]))
         elif kind == "cdepolarize":
             gates.append(cdepolarize_gate(qubits[0], *qubits[1:1 + min(k, count - 1)]))
         else:
             controlled = count > 1 and draw(st.booleans())
-            mix = cdepolarize_gate(qubits[0], *qubits[1:]) if controlled else depolarize_gate(*qubits[:k])
+            mix = cdepolarize_gate(qubits[0], *qubits[1:]) if controlled else ChannelGate("depolarize", qubits[:k])
             gates += [mix] * draw(st.integers(2, 3))
     return Circuit(n_in, gates)

@@ -8,12 +8,14 @@ from conftest import (
     choi_oracle,
     choi_rank_oracle,
     completeness_defect_oracle,
+    density_oracle,
     eigh_only,
     extended_output_oracle,
     kraus_apply_oracle,
     kraus_from_choi_oracle,
     mixed_circuits,
     opnorm_gradient_oracle,
+    partial_trace_oracle,
     random_circuit,
     random_density,
     random_kraus,
@@ -26,8 +28,6 @@ from isolab import (
     NotNearIsometryError,
     analyze_channel,
     append_output_depolarizing,
-    apply_circuit,
-    apply_circuit_matrix,
     apply_extended,
     choi_of,
     exact_isometry_test,
@@ -38,13 +38,12 @@ from isolab import (
     min_output_opnorm,
     operator_norm,
     parse_circuit,
-    partial_trace,
     probe_epsilon,
     purity_metrics,
     trace_norm,
 )
 from isolab.channels import _evaluate, _gradient, _isometry, _output_opnorm, _probe_family
-from isolab.circuits import AddAncilla, Circuit, _lift, unitary_gate
+from isolab.circuits import AddAncilla, Circuit, UnitaryGate, _lift
 from isolab.linalg import DensityMatrix
 
 IDENTITY = "qubits 1\n"
@@ -79,7 +78,7 @@ class TestChoi:
         rng = np.random.default_rng(50)
         for _ in range(20):
             ch = ChannelHandle(random_circuit(rng))
-            marg = partial_trace(choi_of(ch), [ch.dim_out, ch.dim_in], keep=[1])
+            marg = partial_trace_oracle(choi_of(ch).matrix, [ch.dim_out, ch.dim_in], keep=[1])
             assert np.abs(marg - np.eye(ch.dim_in) / ch.dim_in).max() < 1e-9
 
     def test_dimension_cap(self):
@@ -158,7 +157,7 @@ class TestKraus:
             for j in range(2):
                 unit = np.zeros((2, 2), dtype=complex)
                 unit[i, j] = 1.0
-                direct = apply_circuit_matrix(ch.circuit, unit)
+                direct = density_oracle(ch.circuit, unit)
                 assert np.abs(kraus_apply_oracle(ops, unit) - direct).max() < 1e-8
 
     def test_reconstruction_on_random_circuits(self):
@@ -172,7 +171,7 @@ class TestKraus:
                 for j in range(d):
                     unit = np.zeros((d, d), dtype=complex)
                     unit[i, j] = 1.0
-                    direct = apply_circuit_matrix(ch.circuit, unit)
+                    direct = density_oracle(ch.circuit, unit)
                     assert np.abs(kraus_apply_oracle(ops, unit) - direct).max() < 1e-8
 
     @staticmethod
@@ -303,7 +302,7 @@ def depolarized_unitary(n, s, seed, ancillas=0):
     output depolarizing of strength s."""
     k = n + ancillas
     u = random_unitary(np.random.default_rng(seed), 2 ** k)
-    gates = [AddAncilla() for _ in range(ancillas)] + [unitary_gate(u, *range(k))]
+    gates = [AddAncilla() for _ in range(ancillas)] + [UnitaryGate("umatrix", range(k), u)]
     return append_output_depolarizing(Circuit(n, gates), s)
 
 
@@ -576,8 +575,8 @@ class TestExtractApproxIsometry:
         rng = np.random.default_rng(1234)
         for _ in range(10):
             rho = random_density(rng, 2)
-            out = apply_circuit(ch.circuit, rho)
-            assert trace_norm(out.matrix - a @ rho.matrix @ a.conj().T) < 1e-8
+            out = density_oracle(ch.circuit, rho.matrix)
+            assert trace_norm(out - a @ rho.matrix @ a.conj().T) < 1e-8
 
     def test_depolarizer_rejected(self):
         with pytest.raises(NotNearIsometryError):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    _call_log,
     choi_oracle,
+    compiled_action,
     density_oracle,
     isometry_oracle,
     mixed_circuits,
@@ -18,24 +21,24 @@ from conftest import (
     random_unitary,
 )
 from isolab import (
+    AddAncilla,
     ChannelGate,
     ChannelHandle,
     Circuit,
     CircuitParseError,
     DensityMatrix,
     PureState,
+    TraceOut,
+    UnitaryGate,
     append_output_depolarizing,
-    apply_circuit,
-    apply_circuit_matrix,
     cdepolarize_gate,
     choi_of,
     compile_circuit,
-    depolarize_gate,
+    gate,
     isometry_matrix,
     parse_circuit,
     purity_metrics,
     serialize_circuit,
-    unitary_gate,
     validate_circuit,
 )
 from isolab.circuits import _ROW_RE, _parse_complex_row, format_complex, parse_complex
@@ -96,7 +99,7 @@ class TestParse:
 
     def test_gateless_circuit(self):
         c = parse_circuit("qubits 3\n")
-        assert c.gates == []
+        assert c.gates == ()
         assert serialize_circuit(c) == "qubits 3\n"
 
 
@@ -106,9 +109,39 @@ class TestValidate:
         assert validate_circuit(c) is None
 
     def test_programmatic_non_unitary(self):
-        c = Circuit(1, [unitary_gate(np.array([[1, 0], [1, 1]]), 0)])
         with pytest.raises(CircuitParseError, match="non-unitary gate"):
-            validate_circuit(c)
+            Circuit(1, [UnitaryGate("umatrix", (0,), np.array([[1, 0], [1, 1]]))])
+
+    # Each rule as text and as gates built in code, with the bad gate on the
+    # same line: built programmatically, a gate reports the line it would
+    # occupy in serialized form.
+    @pytest.mark.parametrize(
+        "text,n,gates,message,line",
+        [
+            ("qubits 1\ngate CNOT 0 5\n", 1, [gate("CNOT", 0, 5)], "target out of range: 5", 2),
+            ("qubits 2\ngate CNOT 0 0\n", 2, [gate("CNOT", 0, 0)], "duplicate target", 2),
+            ("qubits 2\ngate H 0\ngate CNOT 1\n", 2, [gate("H", 0), gate("CNOT", 1)],
+             "gate CNOT takes 2 target(s)", 3),
+            ("qubits 1\numatrix 0 : 1+0i 0+0i 1+0i 1+0i\n", 1,
+             [UnitaryGate("umatrix", (0,), [[1, 0], [1, 1]])], "non-unitary gate", 2),
+            ("qubits 1\numatrix 0 : 1e400+0i 0+0i 0+0i 1+0i\n", 1,
+             [UnitaryGate("umatrix", (0,), [[np.inf, 0], [0, 1]])], "matrix entries must be finite", 2),
+            ("qubits 2\nchannel dephase 0 1\n", 2, [ChannelGate("dephase", (0, 1))],
+             "dephase takes a single target", 2),
+            ("qubits 1\nchannel mystery 0\n", 1, [ChannelGate("mystery", (0,))], "unknown channel 'mystery'", 2),
+            ("qubits 1\ntraceout 0\nancilla\n", 1, [TraceOut(0), AddAncilla()],
+             "no qubits remain before the final gate", 2),
+        ],
+        ids=["range", "duplicate-target", "builtin-arity", "non-unitary", "non-finite", "channel-arity",
+             "unknown-channel", "no-qubits-remaining"],
+    )
+    def test_rule_same_from_text_and_code(self, text, n, gates, message, line):
+        with pytest.raises(CircuitParseError) as parsed:
+            parse_circuit(text)
+        with pytest.raises(CircuitParseError) as built:
+            Circuit(n, gates)
+        for err in (parsed, built):
+            assert (err.value.message, err.value.line) == (message, line)
 
     @pytest.mark.parametrize(
         "g,message",
@@ -123,10 +156,29 @@ class TestValidate:
     )
     def test_named_channel_checked(self, g, message):
         # Built programmatically, the gate reports the line it would occupy.
-        c = Circuit(2, [unitary_gate(np.eye(2), 0), g])
         with pytest.raises(CircuitParseError, match=re.escape(message)) as err:
-            validate_circuit(c)
+            Circuit(2, [UnitaryGate("umatrix", (0,), np.eye(2)), g])
         assert err.value.line == 3
+
+    def test_syntax_error_reported_before_earlier_semantic_error(self):
+        # The parser reads syntax only, so the bad directive on line 3 is
+        # found before the out-of-range target on line 2.
+        with pytest.raises(CircuitParseError, match="unknown directive 'bogus'") as err:
+            parse_circuit("qubits 1\ngate CNOT 0 5\nbogus\n")
+        assert err.value.line == 3
+
+    def test_circuit_validated_once_and_frozen(self, monkeypatch):
+        import isolab.circuits as circuits
+
+        calls = _call_log(monkeypatch, circuits.validate_circuit)
+        c = Circuit(2, [gate("CNOT", 0, 1)])
+        ChannelHandle(c)
+        assert calls == [c]
+        assert c.gates == (gate("CNOT", 0, 1),)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.gates = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.gates[0].targets = (1, 0)
 
 
 class TestMixingGateCap:
@@ -140,7 +192,7 @@ class TestMixingGateCap:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
-        assert c.gates == [depolarize_gate(*range(7))]
+        assert c.gates == (ChannelGate("depolarize", range(7)),)
         path = tmp_path / "wide.circuit"
         path.write_text(text)
         runner = CliRunner()
@@ -152,11 +204,13 @@ class TestMixingGateCap:
 
 
 class TestApply:
+    """The channel's action as read off the compiled isometry."""
+
     def test_identity_circuit(self):
         rng = np.random.default_rng(0)
         rho = random_density(rng, 4)
-        out = apply_circuit(parse_circuit("qubits 2\n"), rho)
-        assert np.abs(out.matrix - rho.matrix).max() < 1e-12
+        out = compiled_action(parse_circuit("qubits 2\n"), rho.matrix)
+        assert np.abs(out - rho.matrix).max() < 1e-12
 
     def test_copy_then_discard_dephases(self):
         # Hand-multiplied oracle: |+><+| (x) |0><0|, conjugate by CNOT,
@@ -172,26 +226,22 @@ class TestApply:
                 for k in range(2):
                     oracle[i, j] += stepped[2 * i + k, 2 * j + k]
         c = parse_circuit("qubits 1\nancilla\ngate CNOT 0 1\ntraceout 1\n")
-        out = apply_circuit(c, DensityMatrix(rho))
-        assert np.abs(out.matrix - oracle).max() < 1e-12
-        assert np.abs(out.matrix - np.eye(2) / 2).max() < 1e-12
+        out = compiled_action(c, rho)
+        assert np.abs(out - oracle).max() < 1e-12
+        assert np.abs(out - np.eye(2) / 2).max() < 1e-12
 
     def test_full_trace_gives_scalar_one(self):
         rng = np.random.default_rng(1)
-        out = apply_circuit(parse_circuit("qubits 1\ntraceout 0\n"), random_density(rng, 2))
-        assert out.matrix.shape == (1, 1)
-        assert out.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            apply_circuit(parse_circuit("qubits 2\n"), DensityMatrix.maximally_mixed(2))
+        out = compiled_action(parse_circuit("qubits 1\ntraceout 0\n"), random_density(rng, 2).matrix)
+        assert out.shape == (1, 1)
+        assert out[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_trace_preserved_and_positive(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
             c = random_circuit(rng)
             rho = random_density(rng, 2 ** c.input_qubits)
-            raw = apply_circuit_matrix(c, rho.matrix)
+            raw = compiled_action(c, rho.matrix)
             assert abs(np.trace(raw) - 1.0) < 1e-9
             DensityMatrix(raw)  # validates positivity within clamping
 
@@ -203,8 +253,8 @@ class TestApply:
             r1, r2 = random_density(rng, d), random_density(rng, d)
             alpha = float(rng.random())
             mix = alpha * r1.matrix + (1 - alpha) * r2.matrix
-            lhs = apply_circuit_matrix(c, mix)
-            rhs = alpha * apply_circuit_matrix(c, r1.matrix) + (1 - alpha) * apply_circuit_matrix(c, r2.matrix)
+            lhs = compiled_action(c, mix)
+            rhs = alpha * compiled_action(c, r1.matrix) + (1 - alpha) * compiled_action(c, r2.matrix)
             assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_isometry_circuits_preserve_purity(self):
@@ -212,17 +262,17 @@ class TestApply:
         for _ in range(15):
             c = random_circuit(rng, isometry_only=True)
             psi = random_pure(rng, 2 ** c.input_qubits)
-            out = apply_circuit(c, psi.density())
+            out = DensityMatrix(compiled_action(c, psi.projector()))
             assert purity_metrics(out).purity == pytest.approx(1.0, abs=1e-9)
 
     def test_unitary_on_reversed_targets(self):
         # CNOT with control 1, target 0 flips the first qubit.
         c = parse_circuit("qubits 2\ngate CNOT 1 0\n")
-        rho = DensityMatrix.from_pure(PureState(np.array([0, 1, 0, 0], dtype=complex)))
-        out = apply_circuit(c, rho)  # |01> -> |11>
+        rho = PureState(np.array([0, 1, 0, 0], dtype=complex)).projector()
+        out = compiled_action(c, rho)  # |01> -> |11>
         expected = np.zeros((4, 4))
         expected[3, 3] = 1.0
-        assert np.abs(out.matrix - expected).max() < 1e-12
+        assert np.abs(out - expected).max() < 1e-12
 
 
 class TestRoundTrip:
@@ -238,7 +288,7 @@ class TestRoundTrip:
     def test_umatrix_entries_exact(self):
         rng = np.random.default_rng(43)
         u = random_unitary(rng, 4)
-        c = Circuit(2, [unitary_gate(u, 0, 1)])
+        c = Circuit(2, [UnitaryGate("umatrix", (0, 1), u)])
         back = parse_circuit(serialize_circuit(c))
         assert np.array_equal(back.gates[0].matrix, c.gates[0].matrix)
 
@@ -301,7 +351,7 @@ class TestRoundTrip:
                     unit = data.draw(st.sampled_from([1.0, -1.0]))
                     re, im = (unit, im) if data.draw(st.booleans()) else (re, unit)
                 m[i, j] = complex(re, im)
-        c = Circuit(circuit.input_qubits, [*circuit.gates, unitary_gate(m, *qubits[:k])])
+        c = Circuit(circuit.input_qubits, [*circuit.gates, UnitaryGate("umatrix", qubits[:k], m)])
         text = serialize_circuit(c)
         back = parse_circuit(text)
         assert back == c
@@ -329,11 +379,6 @@ class TestRoundTrip:
         except CircuitParseError:
             pass
 
-    def test_custom_kraus_channel_not_serializable(self):
-        g = ChannelGate("mystery", (0,))
-        with pytest.raises(ValueError, match="no text representation"):
-            serialize_circuit(Circuit(1, [g]))
-
 
 class TestIsometryMatrix:
     def test_copy_circuit_columns(self):
@@ -349,8 +394,8 @@ class TestIsometryMatrix:
         c = random_circuit(rng, isometry_only=True, n_gates=4)
         v = isometry_matrix(c)
         rho = random_density(rng, 2 ** c.input_qubits)
-        out = apply_circuit(c, rho)
-        assert np.abs(out.matrix - v @ rho.matrix @ v.conj().T).max() < 1e-10
+        out = density_oracle(c, rho.matrix)
+        assert np.abs(out - v @ rho.matrix @ v.conj().T).max() < 1e-10
 
     def test_rejects_channels(self):
         with pytest.raises(ValueError, match="not an isometry"):
@@ -362,16 +407,16 @@ class TestOutputDepolarizing:
         rng = np.random.default_rng(46)
         rho = random_density(rng, 2)
         noisy = append_output_depolarizing(parse_circuit("qubits 1\n"), 0.3)
-        out = apply_circuit(noisy, rho)
+        out = compiled_action(noisy, rho.matrix)
         expected = 0.7 * rho.matrix + 0.3 * np.eye(2) / 2
-        assert np.abs(out.matrix - expected).max() < 1e-12
+        assert np.abs(out - expected).max() < 1e-12
 
     def test_zero_strength_is_identity(self):
         rng = np.random.default_rng(47)
         rho = random_density(rng, 4)
         c = parse_circuit("qubits 2\ngate H 0\n")
         noisy = append_output_depolarizing(c, 0.0)
-        assert np.abs(apply_circuit(noisy, rho).matrix - apply_circuit(c, rho).matrix).max() < 1e-12
+        assert np.abs(compiled_action(noisy, rho.matrix) - compiled_action(c, rho.matrix)).max() < 1e-12
 
     def test_emitted_gates_round_trip(self):
         noisy = append_output_depolarizing(parse_circuit("qubits 1\ngate H 0\n"), 0.25)
@@ -389,7 +434,7 @@ class TestCompiledIsometry:
         d = 2 ** (circuit.input_qubits + n_ref)
         rng = np.random.default_rng(seed)
         mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        got = apply_circuit_matrix(circuit, mat, n_ref)
+        got = compiled_action(circuit, mat, n_ref)
         assert np.abs(got - density_oracle(circuit, mat, n_ref)).max() <= 1e-12
 
     @settings(max_examples=60)

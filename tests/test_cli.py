@@ -10,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import choi_oracle, density_oracle, kraus_apply_oracle, mixed_circuits, report_oracle
+from conftest import _call_log, choi_oracle, density_oracle, kraus_apply_oracle, mixed_circuits, report_oracle
 from isolab import (
     ChannelHandle,
     append_output_depolarizing,
     choi_of,
     parse_circuit,
     serialize_circuit,
-    validate_circuit,
 )
 from isolab.channels import RANK_TOL
 from isolab.cli import _dumps, main
@@ -427,7 +426,6 @@ class TestReduce:
         assert r["padding_qubits"] == 2
         with open(out_path) as fh:
             circuit = parse_circuit(fh.read())
-        validate_circuit(circuit)
         assert circuit.output_qubits == 3
 
     def test_check_embedded(self, runner, tmp_path):
@@ -458,6 +456,35 @@ class TestReduce:
         check = json.loads(first.output)["results"]["check"]
         assert check["case"] == "high-acceptance"
         assert check["bound_holds"] is True
+
+
+class TestValidationPasses:
+    """A circuit is validated once, when it is built: once per command for
+    the circuit file, and once per reduced instance built."""
+
+    @pytest.mark.parametrize(
+        "args,passes",
+        [
+            (["validate", "{c}"], 1),
+            (["analyze", "{c}", "--restarts", "1"], 1),
+            (["protocol", "{c}", "--restarts", "1"], 1),
+            (["reduce", "{v}", "--output", "{i}"], 2),
+            (["reduce", "{v}", "--check", "--restarts", "1", "--output", "{i}"], 3),
+        ],
+        ids=["validate", "analyze", "protocol", "reduce", "reduce-check"],
+    )
+    def test_validate_circuit_calls(self, runner, tmp_path, monkeypatch, args, passes):
+        import isolab.circuits as circuits
+
+        paths = {
+            "c": write(tmp_path, "c.circuit", DEPOLARIZER),
+            "v": write(tmp_path, "v.verifier", ACCEPT_IF_ONE),
+            "i": str(tmp_path / "i.circuit"),
+        }
+        calls = _call_log(monkeypatch, circuits.validate_circuit)
+        res = runner.invoke(main, [a.format(**paths) for a in args])
+        assert res.exit_code == 0
+        assert len(calls) == passes
 
 
 class TestDeterminism:

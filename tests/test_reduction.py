@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     completeness_defect_oracle,
     controlled_depolarizing_kraus,
+    density_oracle,
     depolarizing_kraus,
     kraus_apply_oracle,
     random_pure,
@@ -15,8 +16,7 @@ from isolab import (
     ChannelHandle,
     CircuitParseError,
     Circuit,
-    DensityMatrix,
-    apply_circuit,
+    UnitaryGate,
     apply_extended,
     build_instance,
     check_reduction,
@@ -26,7 +26,6 @@ from isolab import (
     parse_circuit,
     parse_verifier,
     serialize_circuit,
-    unitary_gate,
     witness_injection,
 )
 from isolab.reduction import VerifierSpec
@@ -142,6 +141,14 @@ class TestParseVerifier:
                 "witness: 0\nancilla:\nmeasure: 0\ngarbage:\nqubits 1\nchannel dephase 0\n"
             )
 
+    def test_body_built_in_code_checked_where_built(self):
+        # diag(2, 1) is not unitary: the verifier fails where it is built
+        # instead of reporting an acceptance probability of one.
+        body = [UnitaryGate("umatrix", (0,), np.diag([2.0, 1.0]))]
+        with pytest.raises(CircuitParseError, match="non-unitary gate") as err:
+            VerifierSpec(Circuit(1, body), (0,), (), 0, ())
+        assert err.value.line == 2
+
 
 class TestMaxAcceptProb:
     def test_accept_iff_one(self):
@@ -186,7 +193,7 @@ def _random_verifier(rng, n_qubits=3):
     for _ in range(4):
         k = 2 if rng.random() < 0.5 else 1
         t = rng.choice(n_qubits, size=k, replace=False)
-        gates.append(unitary_gate(random_unitary(rng, 2 ** k), *(int(x) for x in t)))
+        gates.append(UnitaryGate("umatrix", t, random_unitary(rng, 2 ** k)))
     qubits = list(range(n_qubits))
     rng.shuffle(qubits)
     w = tuple(sorted(qubits[:2]))
@@ -221,10 +228,10 @@ class TestBuildInstance:
         assert circ.input_qubits == 1
         assert circ.output_qubits == 3
         # witness |1>: measured qubit reads one, the rest is fully mixed
-        out = apply_circuit(circ, DensityMatrix(np.diag([0.0, 1.0])))
+        out = density_oracle(circ, np.diag([0.0, 1.0]))
         expected = np.kron(np.diag([0.0, 1.0]), np.eye(4) / 4)
-        assert np.abs(out.matrix - expected).max() < 1e-12
-        assert operator_norm(out.matrix) == pytest.approx(0.25, abs=1e-12)
+        assert np.abs(out - expected).max() < 1e-12
+        assert operator_norm(out) == pytest.approx(0.25, abs=1e-12)
 
     def test_dimension_requirement(self):
         v = parse_verifier(ACCEPT_IF_ONE)
@@ -265,9 +272,9 @@ class TestBuildInstance:
         # the ancilla is flipped to |1>, so every witness is accepted and
         # the garbage-plus-padding block is fully mixed
         rng = np.random.default_rng(74)
-        out = apply_circuit(ch.circuit, random_pure(rng, 2).density())
+        out = density_oracle(ch.circuit, random_pure(rng, 2).projector())
         d = inst.mixing_dim
-        sub = out.matrix.reshape(2, d, 2, d)
+        sub = out.reshape(2, d, 2, d)
         block1 = sub[1, :, 1, :]
         assert np.trace(block1) == pytest.approx(1.0, abs=1e-9)
         assert np.abs(block1 - np.eye(d) / d).max() < 1e-9
