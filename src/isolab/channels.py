@@ -1,14 +1,17 @@
 """Algebraic channel representations and isometry analysis.
 
 A circuit defines a channel; its handle compiles it once to the
-Stinespring isometry V (see ``circuits.compile_circuit``) and derives
-everything else from V: the minimal Kraus set, from the Gram matrix of
-V's environment, and every channel output. The Choi matrix is read off V
-for the ``choi`` report only. This module tests whether the channel is an
-exact isometry (Kraus rank one with A*A = I), and searches for the most
-mixing pure input of the reference-extended channel. The reference space
-always has the dimension of the input space, which suffices for the rank
-criterion.
+Stinespring isometry V (see ``circuits.compile_circuit``), a stack of
+operators V[e] laid out as a Kraus set is, and derives everything else
+from V: the minimal Kraus set, from the Gram matrix of V's environment,
+and every channel output. The Choi matrix is read off V for the ``choi``
+report only. Every output on a pure input, of V or of the Kraus set, is
+read off its slices, formed by one routine, ``_slices``, and its top
+eigenpair by one more, ``_top_output``. This module tests whether the
+channel is an exact isometry (Kraus rank one with A*A = I), and searches
+for the most mixing pure input of the reference-extended channel. The
+reference space always has the dimension of the input space, which
+suffices for the rank criterion.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +21,6 @@ import numpy as np
 from .circuits import (
     Circuit,
     DimensionCapError,
-    _lift,
     compile_circuit,
     max_total_dim,
 )
@@ -27,7 +29,6 @@ from .linalg import (
     DensityMatrix,
     PureState,
     maximally_entangled_state,
-    operator_norm,
     top_eigenpair,
     trace_norm,
 )
@@ -55,13 +56,15 @@ class NotNearIsometryError(ValueError):
 @dataclass(eq=False)
 class ChannelHandle:
     """A channel given by its circuit, which validated itself when it was
-    built, with dimension bookkeeping. The compiled isometry and the
-    minimal Kraus set derived from it are computed on first use and kept
+    built, with dimension bookkeeping. The compiled isometry, the minimal
+    Kraus set derived from it and the protocol's pulled-back swap
+    (``protocol._pulled_back_swap``) are computed on first use and kept
     with the handle."""
 
     circuit: Circuit
     _isometry: np.ndarray | None = field(default=None, init=False, repr=False)
     _kraus: np.ndarray | None = field(default=None, init=False, repr=False)
+    _swap: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def n_in(self) -> int:
@@ -91,32 +94,38 @@ def apply_extended(ch: ChannelHandle, psi) -> DensityMatrix:
         raise ValueError(
             f"dimension mismatch: extended input needs dim {ch.dim_in ** 2}, got {psi.dim}"
         )
-    return DensityMatrix.from_factor(_lift(_isometry(ch), psi.amplitudes[:, None], ch.n_in))
+    return DensityMatrix.from_factor(_slices(_isometry(ch), psi.amplitudes).T)
 
 
-def _output_opnorm(iso: np.ndarray, x: np.ndarray, n_ref: int = 0) -> float:
-    """Largest eigenvalue of the channel output on the unit vector *x*, with
-    *n_ref* trailing reference qubits, read off the smaller Gram matrix of
-    its factor F = _lift(iso, x), scaled to unit trace as in
-    ``DensityMatrix.from_factor``: F F* and F* F share their nonzero
-    spectrum."""
-    f = _lift(iso, x[:, None], n_ref)
-    f = f / np.sqrt(np.vdot(f, f).real)
-    g = f @ f.conj().T if f.shape[0] <= f.shape[1] else f.conj().T @ f
-    return float(np.linalg.eigvalsh(g)[-1])
+def _slices(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The output slices of the channel of an operator stack shaped
+    (r, d_out, d_in), the isometry V or the Kraus set, on the pure input
+    *x* on input (x) reference, for a reference of any dimension: the
+    r-row matrix W whose row e is w_e = (A_e (x) I) x. The output is
+    W^T conj(W) = sum_e w_e w_e^*, so W^T is its factor."""
+    r, d_out, d_in = stack.shape
+    return (stack.reshape(r * d_out, d_in) @ x.reshape(d_in, -1)).reshape(r, -1)
 
 
-def _output_top_pair(iso: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Top eigenpair of the channel output on the unit vector *x*, read off
-    the smaller Gram matrix of its unit-trace factor F = _lift(iso, x), as
-    in ``_output_opnorm``; a top eigenvector u of F* F lifts to F u."""
-    f = _lift(iso, x[:, None])
-    f = f / np.sqrt(np.vdot(f, f).real)
-    if f.shape[0] <= f.shape[1]:
-        return top_eigenpair(f @ f.conj().T)
-    val, u = top_eigenpair(f.conj().T @ f)
-    col = f @ u
-    return val, col / np.linalg.norm(col)
+def _top_output(stack: np.ndarray, x: np.ndarray, start=None):
+    """Top eigenpair of the channel output on the pure input *x*, read off
+    its slices W (see ``_slices``). Returns the largest eigenvalue f, its
+    unit eigenvector v, W, and the top eigenvector u of the Gram matrix,
+    which warm-starts a later call as *start*; u is None where the output
+    side answers and, given a *start*, unless the warm-started answer was
+    certified.
+
+    The output W^T conj(W) shares its nonzero spectrum with the environment
+    Gram matrix G = conj(W) W^T, whose top eigenvector u lifts to W^T u. G
+    answers unless the output is strictly smaller; it always does for a
+    Kraus set and a reference of the input's dimension, as r <= d_out d_in.
+    """
+    w = _slices(stack, x)
+    if w.shape[1] < len(w):
+        return (*top_eigenpair(w.T @ w.conj()), w, None)
+    f, u, certified = top_eigenpair(w.conj() @ w.T, start, return_certified=True)
+    v = w.T @ u
+    return f, v / np.linalg.norm(v), w, u if start is None or certified else None
 
 
 def _check_cap(ch: ChannelHandle) -> None:
@@ -129,10 +138,10 @@ def _check_cap(ch: ChannelHandle) -> None:
 
 
 def _isometry(ch: ChannelHandle) -> np.ndarray:
-    """The handle's compiled isometry, shaped (d_out, d_env, d_in). The cap
-    is checked on every call, so over-cap input fails before compiling."""
-    _check_cap(ch)
+    """The handle's compiled isometry, shaped (d_env, d_out, d_in). The cap
+    is checked once, before compiling, so over-cap input fails first."""
     if ch._isometry is None:
+        _check_cap(ch)
         ch._isometry = compile_circuit(ch.circuit)
     return ch._isometry
 
@@ -142,9 +151,7 @@ def choi_of(ch: ChannelHandle) -> DensityMatrix:
     sqrt(d_in) with M the isometry as a d_env x (d_out d_in) matrix. Only
     the ``choi`` report reads it, so it is formed anew on every call."""
     v = _isometry(ch)
-    d_out, d_env, d_in = v.shape
-    f = v.transpose(0, 2, 1).reshape(d_out * d_in, d_env)
-    return DensityMatrix.from_factor(f / np.sqrt(d_in))
+    return DensityMatrix.from_factor(v.reshape(len(v), -1).T / np.sqrt(ch.dim_in))
 
 
 def kraus_of(ch: ChannelHandle) -> np.ndarray:
@@ -158,8 +165,8 @@ def kraus_of(ch: ChannelHandle) -> np.ndarray:
     """
     iso = _isometry(ch)
     if ch._kraus is None:
-        d_out, d_env, d_in = iso.shape
-        m = iso.transpose(1, 0, 2).reshape(d_env, d_out * d_in)
+        d_env, d_out, d_in = iso.shape
+        m = iso.reshape(d_env, d_out * d_in)
         w, u = np.linalg.eigh(m @ m.conj().T)
         u_r = u[:, ::-1][:, w[::-1] > d_in * RANK_TOL]
         kraus = (u_r.conj().T @ m).reshape(-1, d_out, d_in)
@@ -196,23 +203,6 @@ def exact_isometry_test(ch: ChannelHandle) -> ExactIsometryResult:
 def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
-
-
-def _evaluate(kraus: np.ndarray, psi: np.ndarray, start=None):
-    """Largest output eigenvalue of the extended channel on *psi*, its
-    eigenvector v, the output slices W, and the top eigenvector u of their
-    Gram matrix, which warm-starts the next evaluation as *start*. Given a
-    *start*, u is None unless the warm-started answer was certified.
-
-    With w_k = (A_k Psi) flattened and W the r-by-D matrix of rows w_k, the
-    output is W^T conj(W) = sum_k w_k w_k^*, whose nonzero spectrum equals
-    that of G = conj(W) W^T; a top eigenvector u of G lifts to W^T u.
-    """
-    r, d_out, d_in = kraus.shape
-    w = (kraus.reshape(r * d_out, d_in) @ psi.reshape(d_in, d_in)).reshape(r, -1)
-    f, u, certified = top_eigenpair(w.conj() @ w.T, start, return_certified=True)
-    v = w.T @ u
-    return f, v / np.linalg.norm(v), w, u if start is None or certified else None
 
 
 def _gradient(kraus: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -261,7 +251,7 @@ def _descend_opnorm(kraus: np.ndarray, psi: np.ndarray):
     rho = np.empty(SEARCH_MEMORY)
     alpha = np.empty(SEARCH_MEMORY)
     stored = newest = 0
-    f, v, w, u = _evaluate(kraus, psi)
+    f, v, w, u = _top_output(kraus, psi)
     g = _tangent_gradient(kraus, x, w, v)
     for _ in range(SEARCH_MAX_ITER):
         gn2 = float(g @ g)
@@ -286,7 +276,7 @@ def _descend_opnorm(kraus: np.ndarray, psi: np.ndarray):
         while step > 1e-16:
             cand = x + step * d
             cand /= np.linalg.norm(cand)
-            f_new, v_new, w_new, u_new = _evaluate(kraus, cand.view(complex), u)
+            f_new, v_new, w_new, u_new = _top_output(kraus, cand.view(complex), u)
             if u_new is None:
                 u = None  # the first failed certificate ends warm starts
             if f_new <= f + SEARCH_ARMIJO * step * slope:
@@ -311,7 +301,7 @@ def _descend_opnorm(kraus: np.ndarray, psi: np.ndarray):
         if gain < SEARCH_GAIN_FLOOR:
             break
     psi = x.view(complex)
-    return psi, _evaluate(kraus, psi)[0]
+    return psi, _top_output(kraus, psi)[0]
 
 
 def min_output_opnorm(
@@ -338,7 +328,6 @@ def min_output_opnorm(
         raise DimensionCapError(
             f"search supports input dimension up to {MAX_SEARCH_DIM_IN}, got {ch.dim_in}"
         )
-    _check_cap(ch)
     kraus = kraus_of(ch)
     rng = np.random.default_rng(seed)
     best_val = np.inf
@@ -422,7 +411,7 @@ def probe_epsilon(ch: ChannelHandle, seed: int = 0, n_random: int = 50) -> float
     eigenvalue over the finite probe family; a lower bound on the true
     worst-case defect."""
     iso = _isometry(ch)
-    worst = min(_output_opnorm(iso, v) for _, v in _probe_family(ch, seed, n_random))
+    worst = min(_top_output(iso, v)[0] for _, v in _probe_family(ch, seed, n_random))
     return max(0.0, 1.0 - worst)
 
 
@@ -451,27 +440,22 @@ def extract_approx_isometry(
     """
     d_in = ch.dim_in
     iso = _isometry(ch)
-    basis_states = _basis_probe_states(d_in)
-    # On these PSD outputs the top eigenvalue is the operator norm.
-    norms, columns = zip(*(_output_top_pair(iso, v) for v in basis_states))
+    norms, columns, slices, _ = zip(*(_top_output(iso, v) for v in _basis_probe_states(d_in)))
     # The extended output on the maximally entangled state must also stay
     # nearly pure; it catches uniform mixers whose unextended basis outputs
     # sit exactly at the floor.
-    entangled = operator_norm(
-        apply_extended(ch, maximally_entangled_state(d_in)).matrix
-    )
+    entangled = _top_output(iso, maximally_entangled_state(d_in).amplitudes)[0]
     floor = min(min(norms), entangled)
     if floor < NEAR_ISOMETRY_PROBE_FLOOR:
         raise NotNearIsometryError(
             f"channel is not near-isometric: probe output largest eigenvalue "
             f"{floor:.4f} < {NEAR_ISOMETRY_PROBE_FLOOR}"
         )
-    # The channel's action on |0><i| is F_0 F_i* for the factors
-    # F_i = _lift(iso, |i>).
-    lifts = [_lift(iso, v[:, None]) for v in basis_states]
+    # The channel's action on |0><i| is F_0 F_i* for the factors F_i = W_i^T
+    # of the basis outputs' slices W_i.
     phases = [1.0 + 0.0j]
     for i in range(1, d_in):
-        u, _, vh = np.linalg.svd(lifts[0] @ lifts[i].conj().T)
+        u, _, vh = np.linalg.svd(slices[0].T @ slices[i].conj())
         w = np.vdot(columns[0], u[:, 0]) * np.vdot(vh[0].conj(), columns[i])
         phases.append(np.conj(w) / abs(w) if abs(w) > 1e-12 else 1.0 + 0.0j)
     a = np.stack([c * col for c, col in zip(phases, columns)], axis=1)
@@ -480,9 +464,9 @@ def extract_approx_isometry(
     worst_opnorm = 1.0
     for label, v in _probe_family(ch, seed, n_random):
         proj = np.outer(v, v.conj())
-        f = _lift(iso, v[:, None])
-        out = f @ f.conj().T
-        worst_opnorm = min(worst_opnorm, operator_norm(out))
+        top, _, w, _ = _top_output(iso, v)
+        out = w.T @ w.conj()
+        worst_opnorm = min(worst_opnorm, top)
         dist = trace_norm(out - a @ proj @ a.conj().T)
         dists[label] = max(dists[label], dist)
     diag = ApproxIsometryDiagnostics(

@@ -420,11 +420,12 @@ def serialize_circuit(circuit: Circuit) -> str:
 # Execution
 # ---------------------------------------------------------------------------
 #
-# Every circuit is compiled once to a Stinespring isometry V, stored as an
-# array of shape (d_out, d_env, d_in), whose channel is
-# X -> sum_e V[:, e, :] X V[:, e, :]^*. Trace-outs and channel gates grow the
-# environment; everything else reads the channel off V. The output on x x^*
-# is F F^* for the factor F = _lift(V, x), so it needs no validation.
+# Every circuit is compiled once to a Stinespring isometry V, stored as the
+# operator stack of shape (d_env, d_out, d_in), the layout of a Kraus set,
+# whose channel is X -> sum_e V[e] X V[e]^*. Trace-outs and channel gates
+# grow the environment; everything else reads the channel off V. The output
+# on a pure input is read off its factor, so it needs no validation (see
+# ``channels._top_output``).
 
 def _apply_unitary(w: np.ndarray, u: np.ndarray, targets, n: int) -> np.ndarray:
     """Contract the 2^k x 2^k unitary *u* into the target qubits of *w*,
@@ -503,8 +504,9 @@ def _branch(w: np.ndarray, control: int, targets, n: int) -> np.ndarray:
 
 
 def compile_circuit(circuit: Circuit) -> np.ndarray:
-    """Stinespring isometry V of the circuit's channel, shaped
-    (d_out, d_env, d_in), from simulating all d_in basis columns at once.
+    """Stinespring isometry V of the circuit's channel as the stack of its
+    d_env operators V[e], shaped (d_env, d_out, d_in), from simulating all
+    d_in basis columns at once.
 
     A unitary gate is one contraction on the system axes, ``ancilla``
     appends a |0> axis, and ``traceout`` moves the qubit into the
@@ -516,8 +518,8 @@ def compile_circuit(circuit: Circuit) -> np.ndarray:
     """
     n = circuit.input_qubits
     d_in = 2 ** n
-    # V is built with the environment axis first, (d_env, d_sys, d_in), so
-    # that compression reshapes it without a copy.
+    # The environment axis comes first, so compression reshapes V without
+    # a copy.
     w = np.eye(d_in, dtype=complex)[None]
     for g in circuit.gates:
         if isinstance(g, UnitaryGate):
@@ -534,30 +536,20 @@ def compile_circuit(circuit: Circuit) -> np.ndarray:
         else:
             w = _branch(w, g.targets[0], g.targets[1:], n)
         w = _compress(w)
-    return np.ascontiguousarray(w.transpose(1, 0, 2))
-
-
-def _lift(v: np.ndarray, x: np.ndarray, n_ref: int = 0) -> np.ndarray:
-    """(V (x) I) x with the identity on *n_ref* trailing reference qubits,
-    as a (d_out 2^n_ref)-row matrix with V's environment in the columns:
-    for x with d_in 2^n_ref rows and k columns, rows (o, r) and columns
-    (e, j). It is a factor of the channel's output on x x^*."""
-    d_out, d_env, d_in = v.shape
-    d_ref = 2 ** n_ref
-    y = v.reshape(d_out * d_env, d_in) @ x.reshape(d_in, -1)
-    return y.reshape(d_out, d_env, d_ref, -1).transpose(0, 2, 1, 3).reshape(d_out * d_ref, -1)
+    # A unitary on every qubit can leave a strided view; readers reshape V.
+    return np.ascontiguousarray(w)
 
 
 def isometry_matrix(circuit: Circuit) -> np.ndarray:
     """Explicit d_out x d_in matrix of a circuit whose compiled isometry has
-    a one-dimensional environment."""
+    a one-dimensional environment: its one operator V[0]."""
     v = compile_circuit(circuit)
-    if v.shape[1] != 1:
+    if len(v) != 1:
         raise ValueError(
             "circuit is not an isometry: trace-out or channel gates leave an "
-            f"environment of dimension {v.shape[1]}"
+            f"environment of dimension {len(v)}"
         )
-    return v[:, 0, :]
+    return v[0]
 
 
 def append_output_depolarizing(circuit: Circuit, strength: float) -> Circuit:

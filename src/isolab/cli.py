@@ -209,10 +209,10 @@ def choi(path):
     """Choi matrix payload: eigenvalues, rank, and entries."""
     ch = ChannelHandle(_load_circuit(path))
     v = _isometry(ch)
-    d_out, d_env, d_in = v.shape
+    d_env, d_out, d_in = v.shape
     # The nonzero Choi spectrum is that of the environment Gram matrix M M*
     # over d_in, with M the isometry as a d_env x (d_out d_in) matrix.
-    m = v.transpose(1, 0, 2).reshape(d_env, d_out * d_in)
+    m = v.reshape(d_env, d_out * d_in)
     w = np.linalg.eigvalsh(m @ m.conj().T) / d_in
     w = np.sort(np.concatenate([w, np.zeros(d_out * d_in - d_env)]))[::-1]
     _emit(
@@ -240,7 +240,7 @@ def kraus(path):
     # matrix unit |i><j|. d_in (J - J_Kraus) is the Choi part of the
     # environment directions the Kraus set drops, positive semidefinite, so
     # its largest entry lies on its diagonal: a difference of column weights.
-    weights = np.sum(np.abs(_isometry(ch)) ** 2, axis=1)
+    weights = np.sum(np.abs(_isometry(ch)) ** 2, axis=0)
     residual = float(np.abs(weights - np.sum(np.abs(k) ** 2, axis=0)).max())
     gram = np.tensordot(k.conj(), k, axes=([0, 1], [0, 1]))
     _emit(
@@ -333,11 +333,16 @@ def reduce(verifier_path, epsilon, check, output, restarts, seed):
     """Build the channel instance of a verifier and optionally check it."""
     with open(verifier_path, "r", encoding="utf-8") as fh:
         verifier = parse_verifier(fh.read())
-    inst = build_instance(verifier, epsilon)
+    if check:
+        rc = check_reduction(verifier, epsilon, restarts=restarts, seed=seed)
+        inst, p = rc.instance, rc.accept_prob
+    else:
+        inst = build_instance(verifier, epsilon)
+        p, _ = max_accept_prob(verifier)
+    # Written only once every computation has succeeded.
     out_path = output if output is not None else verifier_path + ".instance"
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(serialize_circuit(inst.channel_circuit))
-    p, _ = max_accept_prob(verifier)
     results = {
         "accept_prob": p,
         "epsilon": epsilon,
@@ -348,7 +353,6 @@ def reduce(verifier_path, epsilon, check, output, restarts, seed):
         "instance_output_qubits": inst.channel_circuit.output_qubits,
     }
     if check:
-        rc = check_reduction(verifier, epsilon, restarts=restarts, seed=seed)
         results["check"] = {
             "accept_prob": rc.accept_prob,
             "min_output_opnorm": rc.min_opnorm,

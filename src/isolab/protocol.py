@@ -142,26 +142,35 @@ def _swap_observable(ch: ChannelHandle) -> np.ndarray:
     d_out x (d_env d_in) matrix and Q = M* M, axes (e, a, f, b),
     T[a, b, a', b'] = sum_{e, f} Q[e, a, f, b'] Q[f, b, e, a']."""
     v = _isometry(ch)
-    d_env, d_in = v.shape[1], v.shape[2]
-    m = v.reshape(v.shape[0], d_env * d_in)
+    d_env, d_out, d_in = v.shape
+    m = v.transpose(1, 0, 2).reshape(d_out, d_env * d_in)
     q = (m.conj().T @ m).reshape(d_env, d_in, d_env, d_in)
     return np.tensordot(q, q, axes=([0, 2], [2, 0])).transpose(0, 2, 3, 1)
 
 
 def _check_swap_observable(ch: ChannelHandle, t: np.ndarray) -> None:
-    """T is Hermitian and tr T = |Phi(I)|_F^2 with Phi(I) = M M*; a
-    violation is a fault of this module, not of the witness."""
+    """T is Hermitian and tr T = |Phi(I)|_F^2 with Phi(I) = sum_e V_e V_e*;
+    a violation is a fault of this module, not of the witness."""
     d = ch.dim_in ** 2
     mat = t.reshape(d, d)
     dev = float(np.abs(mat - mat.conj().T).max())
     if not dev <= TOL:
         raise RuntimeError(f"pulled-back swap is not Hermitian (deviation {dev:.3e})")
-    m = _isometry(ch).reshape(ch.dim_out, -1)
-    phi_id = m @ m.conj().T
+    v = _isometry(ch)
+    phi_id = np.tensordot(v, v.conj(), axes=([0, 2], [0, 2]))
     expected = float(np.vdot(phi_id, phi_id).real)
     tr = float(np.real(np.trace(mat)))
     if not abs(tr - expected) <= TOL:
         raise RuntimeError(f"pulled-back swap has trace {tr!r}, not |Phi(I)|_F^2 = {expected!r}")
+
+
+def _pulled_back_swap(ch: ChannelHandle) -> np.ndarray:
+    """The handle's pulled-back swap T, built and checked on first use."""
+    if ch._swap is None:
+        t = _swap_observable(ch)
+        _check_swap_observable(ch, t)
+        ch._swap = t
+    return ch._swap
 
 
 def run_protocol_exact(ch: ChannelHandle, witness) -> ProtocolResult:
@@ -180,8 +189,7 @@ def run_protocol_exact(ch: ChannelHandle, witness) -> ProtocolResult:
     p1, _ = _swap_probabilities(dm.matrix, d_in * d_in)
     if p1 < PROB_FLOOR:
         return ProtocolResult(p1, 0.0, 0.0)
-    t = _swap_observable(ch)
-    _check_swap_observable(ch, t)
+    t = _pulled_back_swap(ch)
     # <W_out> on the step-1 block P rho P, P = (I + W)/2 for the copy swap
     # W, over the block's trace (tr rho + tr W rho)/2, which is p1 before
     # clamping. X = T (x) W_ref commutes with W, so tr(X P rho P) =

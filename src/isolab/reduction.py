@@ -28,7 +28,7 @@ from .channels import (
     ChannelHandle,
     DimensionCapError,
     _isometry,
-    _output_opnorm,
+    _top_output,
     min_output_opnorm,
 )
 from .circuits import (
@@ -260,14 +260,13 @@ def check_reduction(
     with an unentangled reference. In the promise gap no implication
     applies.
     """
-    p, witness = max_accept_prob(v)
     inst = build_instance(v, epsilon)
+    p, witness = max_accept_prob(v)
     ch = ChannelHandle(inst.channel_circuit)
     m_search, _ = min_output_opnorm(ch, restarts=restarts, seed=seed)
     ref = np.zeros(ch.dim_in, dtype=complex)
     ref[0] = 1.0
-    gamma = PureState(np.kron(witness.amplitudes, ref))
-    m_explicit = _output_opnorm(_isometry(ch), gamma.amplitudes, ch.n_in)
+    m_explicit = _top_output(_isometry(ch), np.kron(witness.amplitudes, ref))[0]
     m = min(m_search, m_explicit)
     if p <= epsilon:
         case, bound = "low-acceptance", 1.0 - epsilon

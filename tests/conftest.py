@@ -22,7 +22,7 @@ from isolab import (
     maximally_entangled_state,
 )
 from isolab.channels import RANK_TOL
-from isolab.circuits import _lift, compile_circuit
+from isolab.circuits import compile_circuit
 
 # Every @given test draws the same examples on every run and keeps no
 # example database, so the suite is deterministic.
@@ -83,11 +83,11 @@ def choi_calls(monkeypatch):
 
 @pytest.fixture
 def evaluate_calls(monkeypatch):
-    """Kraus tensors passed to the search's ``_evaluate`` while the test
-    runs, one per evaluation."""
+    """Operator stacks passed to ``_top_output``, the search's evaluation,
+    while the test runs, one per evaluation."""
     import isolab.channels as channels
 
-    return _call_log(monkeypatch, channels._evaluate)
+    return _call_log(monkeypatch, channels._top_output)
 
 
 @pytest.fixture
@@ -476,10 +476,10 @@ def density_oracle(circuit, mat, n_ref=0):
 
 def compiled_action(circuit, mat, n_ref=0):
     """Linear action of the circuit's channel on *mat*, with *n_ref*
-    trailing reference qubits, read off the compiled isometry V:
-    sum_e (V_e (x) I) mat (V_e (x) I)^* = _lift(V, mat) _lift(V, I)^*."""
-    v = compile_circuit(circuit)
-    return _lift(v, mat, n_ref) @ _lift(v, np.eye(len(mat), dtype=complex), n_ref).conj().T
+    trailing reference qubits, read off the compiled isometry's operator
+    stack V: sum_e (V_e (x) I) mat (V_e (x) I)^*."""
+    eye = np.eye(2 ** n_ref)
+    return sum(np.kron(v_e, eye) @ mat @ np.kron(v_e, eye).conj().T for v_e in compile_circuit(circuit))
 
 
 def choi_oracle(circuit):

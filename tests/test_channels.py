@@ -42,9 +42,8 @@ from isolab import (
     purity_metrics,
     trace_norm,
 )
-from isolab.channels import _evaluate, _gradient, _isometry, _output_opnorm, _probe_family
-from isolab.circuits import AddAncilla, Circuit, UnitaryGate, _lift
-from isolab.linalg import DensityMatrix
+from isolab.channels import _gradient, _isometry, _probe_family, _top_output
+from isolab.circuits import AddAncilla, Circuit, UnitaryGate
 
 IDENTITY = "qubits 1\n"
 DEPOLARIZER = "qubits 1\nchannel depolarize 0\n"
@@ -321,7 +320,7 @@ class TestSearchEvaluation:
         kraus = np.stack(ops)
         for _ in range(5):
             psi = random_pure(rng, d_in * d_in).amplitudes
-            f, v, w, _ = _evaluate(kraus, psi)
+            f, v, w, _ = _top_output(kraus, psi)
             spectrum, v_oracle, g_oracle = opnorm_gradient_oracle(ops, psi, d_in)
             assert spectrum[-1] - spectrum[-2] > 1e-6  # simple top eigenvalue
             assert abs(f - spectrum[-1]) < 1e-12
@@ -336,11 +335,11 @@ class TestSearchEvaluation:
         kraus = np.stack(ops)
         rng = np.random.default_rng(62)
         psi = random_pure(rng, 16).amplitudes
-        *_, u = _evaluate(kraus, psi)
+        *_, u = _top_output(kraus, psi)
         for _ in range(5):
             psi = psi + 0.05 * random_pure(rng, 16).amplitudes
             psi = psi / np.linalg.norm(psi)
-            f, v, w, u = _evaluate(kraus, psi, u)
+            f, v, w, u = _top_output(kraus, psi, u)
             spectrum, v_oracle, g_oracle = opnorm_gradient_oracle(ops, psi, 4)
             assert abs(f - spectrum[-1]) < 1e-12
             assert abs(abs(np.vdot(v_oracle, v)) - 1.0) < 1e-9
@@ -353,7 +352,7 @@ class TestSearchEvaluation:
         ops = random_kraus(rng, d_in, d_out, rank)
         kraus = np.stack(ops)
         psi = random_pure(rng, d_in * d_in).amplitudes
-        f, v, w, _ = _evaluate(kraus, psi)
+        f, v, w, _ = _top_output(kraus, psi)
         g = _gradient(kraus, w, v)
 
         def top(x):
@@ -474,31 +473,46 @@ class TestStickyEigh:
 
 
 class TestOutputOpnorm:
-    """The operator norm of a pure input's output from the smaller Gram
-    matrix of its factor, against the D x D output it replaced."""
+    """The top eigenpair of a pure input's output, read off the isometry's
+    operator stack through the smaller Gram matrix, against the full output
+    of the density-matrix oracle."""
 
     @pytest.mark.parametrize(
-        "circuit",
+        "circuit,sides",
         [
-            depolarized_unitary(2, 0.3, seed=71),
-            parse_circuit("qubits 2\nancilla\nancilla\ngate H 0\ngate CNOT 0 3\nchannel dephase 2\n"),
+            # d_env = 16: d_out = 4 rows without a reference, 16 with one.
+            (depolarized_unitary(2, 0.3, seed=71), ("output", "tie")),
+            # d_env = 2 against 16 and 64 output rows.
+            (
+                parse_circuit("qubits 2\nancilla\nancilla\ngate H 0\ngate CNOT 0 3\nchannel dephase 2\n"),
+                ("environment", "environment"),
+            ),
         ],
         ids=["output-gram-smaller", "environment-gram-smaller"],
     )
-    def test_matches_full_output(self, circuit):
+    def test_matches_full_output(self, circuit, sides):
         ch = ChannelHandle(circuit)
         iso = _isometry(ch)
         rng = np.random.default_rng(72)
-        for n_ref in (0, ch.n_in):
+        for n_ref, side in zip((0, ch.n_in), sides):
+            rows = ch.dim_out * 2 ** n_ref
+            assert side == ("output" if rows < len(iso) else "tie" if rows == len(iso) else "environment")
             for _ in range(4):
                 x = random_pure(rng, ch.dim_in * 2 ** n_ref).amplitudes
-                full = DensityMatrix.from_factor(_lift(iso, x[:, None], n_ref))
-                assert abs(_output_opnorm(iso, x, n_ref) - operator_norm(full.matrix)) <= 1e-12
+                full = density_oracle(circuit, np.outer(x, x.conj()), n_ref)
+                top, vec, w, u = _top_output(iso, x)
+                assert abs(top - operator_norm(full)) <= 1e-12
+                assert abs(np.vdot(vec, full @ vec) - top) <= 1e-12
+                assert np.abs(w.T @ w.conj() - full).max() <= 1e-12
+                # A tie goes to the environment side, which returns its
+                # Gram eigenvector.
+                assert (u is None) == (side == "output")
 
     def test_probe_epsilon_matches_full_outputs(self):
-        ch = ChannelHandle(depolarized_unitary(2, 0.05, seed=73))
+        circuit = depolarized_unitary(2, 0.05, seed=73)
+        ch = ChannelHandle(circuit)
         worst = min(
-            operator_norm(DensityMatrix.from_factor(_lift(_isometry(ch), v[:, None])).matrix)
+            operator_norm(density_oracle(circuit, np.outer(v, v.conj())))
             for _, v in _probe_family(ch, 4, 20)
         )
         assert abs(probe_epsilon(ch, seed=4, n_random=20) - (1.0 - worst)) <= 1e-12

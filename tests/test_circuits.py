@@ -455,7 +455,7 @@ class TestCompiledIsometry:
         # the bound d_sys d_in is 4.
         circuit = parse_circuit("qubits 1\n" + "channel depolarize 0\n" * 3)
         v = compile_circuit(circuit)
-        assert v.shape == (2, 4, 2)
+        assert v.shape == (4, 2, 2)
         m = v.reshape(-1, 2)
         assert np.abs(m.conj().T @ m - np.eye(2)).max() <= 1e-12
         got = choi_of(ChannelHandle(circuit)).matrix
@@ -468,10 +468,10 @@ class TestCompiledIsometry:
             # The environment reaches its bound d_sys d_in = 256 after the
             # second depolarizer; each later one moves its targets into the
             # environment, compresses, and only then grows it 4-fold.
-            ("qubits 4\n" + "channel depolarize 0 1\nchannel depolarize 2 3\n" * 2, (16, 256, 16)),
+            ("qubits 4\n" + "channel depolarize 0 1\nchannel depolarize 2 3\n" * 2, (256, 16, 16)),
             # The |1> branch is compressed before it grows 8-fold; the
             # stacked branches are compressed after the gate.
-            ("qubits 4\n" + "channel cdepolarize 0 : 1 2 3\n" * 3, (16, 256, 16)),
+            ("qubits 4\n" + "channel cdepolarize 0 : 1 2 3\n" * 3, (256, 16, 16)),
         ],
         ids=["depolarize", "cdepolarize"],
     )

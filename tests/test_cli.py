@@ -440,6 +440,15 @@ class TestReduce:
         assert r["check"]["bound_holds"] is True
         assert r["check"]["min_output_opnorm"] <= 0.3 + 1e-3
 
+    def test_failed_check_writes_no_instance(self, runner, tmp_path, monkeypatch):
+        # The cap refuses the instance's search, d_out d_in = 16 > 8.
+        monkeypatch.setenv("ISOLAB_MAX_DIM", "8")
+        path = write(tmp_path, "v.verifier", ACCEPT_IF_ONE)
+        out_path = tmp_path / "instance.circuit"
+        res = runner.invoke(main, ["reduce", path, "--check", "--output", str(out_path)])
+        assert res.exit_code == 3
+        assert not out_path.exists()
+
     def test_malformed_header(self, runner, tmp_path):
         path = write(tmp_path, "v.verifier", "witness: 0\nqubits 1\n")
         res = runner.invoke(main, ["reduce", path])
@@ -469,7 +478,7 @@ class TestValidationPasses:
             (["analyze", "{c}", "--restarts", "1"], 1),
             (["protocol", "{c}", "--restarts", "1"], 1),
             (["reduce", "{v}", "--output", "{i}"], 2),
-            (["reduce", "{v}", "--check", "--restarts", "1", "--output", "{i}"], 3),
+            (["reduce", "{v}", "--check", "--restarts", "1", "--output", "{i}"], 2),
         ],
         ids=["validate", "analyze", "protocol", "reduce", "reduce-check"],
     )

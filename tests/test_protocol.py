@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    _call_log,
     choi_rank_oracle,
     circuit_swap_test_probs,
     kraus_dilation,
@@ -432,6 +433,17 @@ class TestProtocolBounds:
         assert rep.completeness.holds
         assert len(compile_calls) == 1
         assert len(choi_calls) == 0
+
+    def test_cap_checked_and_swap_built_once(self, monkeypatch):
+        # The depolarizer is no exact isometry, so the probes run too.
+        import isolab.channels as channels
+        import isolab.protocol as protocol
+
+        caps = _call_log(monkeypatch, channels._check_cap)
+        builds = _call_log(monkeypatch, protocol._swap_observable)
+        rep = check_protocol_bounds(handle(DEPOLARIZER), n_random_witnesses=4, restarts=2, seed=13)
+        assert rep.soundness.epsilon_source == "probes"
+        assert (len(caps), len(builds)) == (1, 1)
 
     def test_depolarizer_completeness_equality(self):
         rep = check_protocol_bounds(handle(DEPOLARIZER), n_random_witnesses=4, restarts=6, seed=10)
