@@ -75,5 +75,4 @@ from .reduction import (
     check_reduction,
     max_accept_prob,
     parse_verifier,
-    witness_injection,
 )

@@ -2,16 +2,16 @@
 
 A circuit defines a channel; its handle compiles it once to the
 Stinespring isometry V (see ``circuits.compile_circuit``), a stack of
-operators V[e] laid out as a Kraus set is, and derives everything else
-from V: the minimal Kraus set, from the Gram matrix of V's environment,
-and every channel output. The Choi matrix is read off V for the ``choi``
-report only. Every output on a pure input, of V or of the Kraus set, is
-read off its slices, formed by one routine, ``_slices``, and its top
-eigenpair by one more, ``_top_output``. This module tests whether the
-channel is an exact isometry (Kraus rank one with A*A = I), and searches
-for the most mixing pure input of the reference-extended channel. The
-reference space always has the dimension of the input space, which
-suffices for the rank criterion.
+operators V[e] laid out as a Kraus set is, kept in its Kraus basis (see
+``_isometry``), and reads everything off V: the minimal Kraus set is its
+leading rows. Only the ``choi`` report's Choi matrix is formed from the
+isometry as compiled.
+Every output on a pure input is read off V's slices, formed by one
+routine, ``_slices``, and its top eigenpair by one more, ``_top_output``.
+This module tests whether the channel is an exact isometry (Kraus rank
+one with A*A = I), and searches for the most mixing pure input of the
+reference-extended channel. The reference space always has the dimension
+of the input space, which suffices for the rank criterion.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +28,7 @@ from .linalg import (
     TOL,
     DensityMatrix,
     PureState,
+    _NOISE_FLOOR,
     maximally_entangled_state,
     top_eigenpair,
     trace_norm,
@@ -56,14 +57,15 @@ class NotNearIsometryError(ValueError):
 @dataclass(eq=False)
 class ChannelHandle:
     """A channel given by its circuit, which validated itself when it was
-    built, with dimension bookkeeping. The compiled isometry, the minimal
-    Kraus set derived from it and the protocol's pulled-back swap
-    (``protocol._pulled_back_swap``) are computed on first use and kept
-    with the handle."""
+    built, with dimension bookkeeping. The isometry V in its Kraus basis
+    (see ``_isometry``), whose leading rows are the minimal Kraus set, the
+    isometry as compiled, which only ``choi_of`` reads, and the protocol's
+    pulled-back swap (``protocol._pulled_back_swap``) are computed on first
+    use and kept with the handle."""
 
     circuit: Circuit
     _isometry: np.ndarray | None = field(default=None, init=False, repr=False)
-    _kraus: np.ndarray | None = field(default=None, init=False, repr=False)
+    _compiled: np.ndarray | None = field(default=None, init=False, repr=False)
     _swap: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
@@ -97,17 +99,17 @@ def apply_extended(ch: ChannelHandle, psi) -> DensityMatrix:
     return DensityMatrix.from_factor(_slices(_isometry(ch), psi.amplitudes).T)
 
 
-def _slices(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The output slices of the channel of an operator stack shaped
-    (r, d_out, d_in), the isometry V or the Kraus set, on the pure input
-    *x* on input (x) reference, for a reference of any dimension: the
-    r-row matrix W whose row e is w_e = (A_e (x) I) x. The output is
-    W^T conj(W) = sum_e w_e w_e^*, so W^T is its factor."""
-    r, d_out, d_in = stack.shape
-    return (stack.reshape(r * d_out, d_in) @ x.reshape(d_in, -1)).reshape(r, -1)
+def _slices(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The output slices of the channel on the pure input *x* on input (x)
+    reference, for a reference of any dimension, read off the isometry V
+    shaped (r, d_out, d_in): the r-row matrix W whose row e is
+    w_e = (V_e (x) I) x. The output is W^T conj(W) = sum_e w_e w_e^*, so
+    W^T is its factor."""
+    r, d_out, d_in = v.shape
+    return (v.reshape(r * d_out, d_in) @ x.reshape(d_in, -1)).reshape(r, -1)
 
 
-def _top_output(stack: np.ndarray, x: np.ndarray, start=None):
+def _top_output(v: np.ndarray, x: np.ndarray, start=None):
     """Top eigenpair of the channel output on the pure input *x*, read off
     its slices W (see ``_slices``). Returns the largest eigenvalue f, its
     unit eigenvector v, W, and the top eigenvector u of the Gram matrix,
@@ -118,9 +120,9 @@ def _top_output(stack: np.ndarray, x: np.ndarray, start=None):
     The output W^T conj(W) shares its nonzero spectrum with the environment
     Gram matrix G = conj(W) W^T, whose top eigenvector u lifts to W^T u. G
     answers unless the output is strictly smaller; it always does for a
-    Kraus set and a reference of the input's dimension, as r <= d_out d_in.
+    reference of the input's dimension, as V has at most d_out d_in rows.
     """
-    w = _slices(stack, x)
+    w = _slices(v, x)
     if w.shape[1] < len(w):
         return (*top_eigenpair(w.T @ w.conj()), w, None)
     f, u, certified = top_eigenpair(w.conj() @ w.T, start, return_certified=True)
@@ -138,41 +140,51 @@ def _check_cap(ch: ChannelHandle) -> None:
 
 
 def _isometry(ch: ChannelHandle) -> np.ndarray:
-    """The handle's compiled isometry, shaped (d_env, d_out, d_in). The cap
-    is checked once, before compiling, so over-cap input fails first."""
+    """The handle's isometry V in its Kraus basis, read-only, shaped
+    (r, d_out, d_in); the cap is checked once, before compiling. A dilation
+    is fixed only up to a unitary on the environment: V = U* M for M the
+    compiled isometry as a d_env x (d_out d_in) matrix and U the
+    eigenvectors of M M*, largest eigenvalue first, less those at the eigh
+    noise floor ``_NOISE_FLOOR``. Its rows are pairwise orthogonal, and
+    their weights |V_e|_F^2 are d_in times the nonzero Choi spectrum."""
     if ch._isometry is None:
         _check_cap(ch)
-        ch._isometry = compile_circuit(ch.circuit)
+        ch._compiled = compile_circuit(ch.circuit)
+        d_env, d_out, d_in = ch._compiled.shape
+        m = ch._compiled.reshape(d_env, d_out * d_in)
+        w, u = np.linalg.eigh(m @ m.conj().T)
+        u = u[:, ::-1][:, w[::-1] > _NOISE_FLOOR * max(float(w[-1]), 0.0)]
+        v = (u.conj().T @ m).reshape(-1, d_out, d_in)
+        v.flags.writeable = False
+        ch._isometry = v
     return ch._isometry
 
 
 def choi_of(ch: ChannelHandle) -> DensityMatrix:
     """Choi matrix of the channel on output (x) input, F F* for F = M^T /
-    sqrt(d_in) with M the isometry as a d_env x (d_out d_in) matrix. Only
-    the ``choi`` report reads it, so it is formed anew on every call."""
-    v = _isometry(ch)
+    sqrt(d_in) with M the isometry as compiled, a d_env x (d_out d_in)
+    matrix. Only the ``choi`` report reads it, so it is formed anew on
+    every call. Not V in its Kraus basis: the compiled rows keep the
+    circuit's structure, so the exact zeros of J stay zeros, where the
+    rotated rows would print them as rounding of about 1e-17."""
+    _isometry(ch)
+    v = ch._compiled
     return DensityMatrix.from_factor(v.reshape(len(v), -1).T / np.sqrt(ch.dim_in))
 
 
 def kraus_of(ch: ChannelHandle) -> np.ndarray:
-    """Minimal Kraus set of the channel, stacked read-only as (r, d_out,
-    d_in) and computed once per handle.
+    """Minimal Kraus set of the channel, stacked as (r, d_out, d_in): a
+    read-only view of the leading rows of V (see ``_isometry``) whose
+    weight |V_e|_F^2, d_in times a Choi eigenvalue, exceeds d_in *
+    RANK_TOL: the Choi rank rule at RANK_TOL."""
+    v = _isometry(ch)
+    return v[:np.count_nonzero(_row_weights(v) > ch.dim_in * RANK_TOL)]
 
-    With M the isometry as a d_env x (d_out d_in) matrix, each eigenvalue
-    of the Gram matrix M M* is d_in times a Choi eigenvalue. The operators
-    are the rows of U_r* M, for U_r the eigenvectors whose eigenvalues
-    exceed d_in * RANK_TOL, largest first: the Choi rank rule at RANK_TOL.
-    """
-    iso = _isometry(ch)
-    if ch._kraus is None:
-        d_env, d_out, d_in = iso.shape
-        m = iso.reshape(d_env, d_out * d_in)
-        w, u = np.linalg.eigh(m @ m.conj().T)
-        u_r = u[:, ::-1][:, w[::-1] > d_in * RANK_TOL]
-        kraus = (u_r.conj().T @ m).reshape(-1, d_out, d_in)
-        kraus.flags.writeable = False
-        ch._kraus = kraus
-    return ch._kraus
+
+def _row_weights(v: np.ndarray) -> np.ndarray:
+    """The weights |V_e|_F^2 of the rows of V, d_in times the nonzero Choi
+    spectrum (see ``_isometry``)."""
+    return np.einsum("eoi,eoi->e", v.conj(), v).real
 
 
 @dataclass
@@ -189,7 +201,7 @@ def exact_isometry_test(ch: ChannelHandle) -> ExactIsometryResult:
     rank = len(ops)
     if rank != 1:
         return ExactIsometryResult(rank, False, None)
-    a = ops[0].copy()  # must not alias the handle's cached Kraus tensor
+    a = ops[0].copy()  # must not alias the handle's isometry
     defect = float(np.abs(a.conj().T @ a - np.eye(ch.dim_in)).max())
     if defect > TOL:
         return ExactIsometryResult(rank, False, None)
@@ -205,25 +217,25 @@ def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _gradient(kraus: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _gradient(iso: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Twice the gradient of the largest output eigenvalue with respect to
-    conj(psi): 2 sum_k <v, w_k> A_k^* V, with V = v as a d_out-by-d_in
-    matrix; the weighted sum of the A_k^* is the adjoint of one weighted
-    sum of the stacked operators. Its real view is the gradient on the
-    real view of psi."""
-    r, d_out, d_in = kraus.shape
-    b = ((w.conj() @ v) @ kraus.reshape(r, -1)).reshape(d_out, d_in)
+    conj(psi): 2 sum_e <v, w_e> V_e^* Y, with Y = v as a d_out-by-d_in
+    matrix; the weighted sum of the V_e^* is the adjoint of one weighted
+    sum of the isometry's stacked operators *iso*. Its real view is the
+    gradient on the real view of psi."""
+    r, d_out, d_in = iso.shape
+    b = ((w.conj() @ v) @ iso.reshape(r, -1)).reshape(d_out, d_in)
     return 2.0 * (b.conj().T @ v.reshape(d_out, d_in)).reshape(-1)
 
 
-def _tangent_gradient(kraus: np.ndarray, x: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _tangent_gradient(iso: np.ndarray, x: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Gradient at the real unit vector *x*, projected onto the sphere's
     tangent space there."""
-    g = _gradient(kraus, w, v).view(float)
+    g = _gradient(iso, w, v).view(float)
     return g - (x @ g) * x
 
 
-def _descend_opnorm(kraus: np.ndarray, psi: np.ndarray):
+def _descend_opnorm(iso: np.ndarray, psi: np.ndarray):
     """Minimize the largest output eigenvalue over the unit sphere by
     limited-memory BFGS on the real view x of psi; the subgradient comes
     from the top eigenvector.
@@ -251,8 +263,8 @@ def _descend_opnorm(kraus: np.ndarray, psi: np.ndarray):
     rho = np.empty(SEARCH_MEMORY)
     alpha = np.empty(SEARCH_MEMORY)
     stored = newest = 0
-    f, v, w, u = _top_output(kraus, psi)
-    g = _tangent_gradient(kraus, x, w, v)
+    f, v, w, u = _top_output(iso, psi)
+    g = _tangent_gradient(iso, x, w, v)
     for _ in range(SEARCH_MAX_ITER):
         gn2 = float(g @ g)
         if gn2 < SEARCH_GRAD_FLOOR:
@@ -276,7 +288,7 @@ def _descend_opnorm(kraus: np.ndarray, psi: np.ndarray):
         while step > 1e-16:
             cand = x + step * d
             cand /= np.linalg.norm(cand)
-            f_new, v_new, w_new, u_new = _top_output(kraus, cand.view(complex), u)
+            f_new, v_new, w_new, u_new = _top_output(iso, cand.view(complex), u)
             if u_new is None:
                 u = None  # the first failed certificate ends warm starts
             if f_new <= f + SEARCH_ARMIJO * step * slope:
@@ -285,7 +297,7 @@ def _descend_opnorm(kraus: np.ndarray, psi: np.ndarray):
             step *= 0.5
         if not improved:
             break
-        g_new = _tangent_gradient(kraus, cand, w_new, v_new)
+        g_new = _tangent_gradient(iso, cand, w_new, v_new)
         s_k = cand - x
         s_k -= (cand @ s_k) * cand
         y_k = g_new - (g - (cand @ g) * cand)
@@ -301,7 +313,7 @@ def _descend_opnorm(kraus: np.ndarray, psi: np.ndarray):
         if gain < SEARCH_GAIN_FLOOR:
             break
     psi = x.view(complex)
-    return psi, _top_output(kraus, psi)[0]
+    return psi, _top_output(iso, psi)[0]
 
 
 def min_output_opnorm(
@@ -316,7 +328,8 @@ def min_output_opnorm(
     on the unit sphere: a quasi-Newton direction from the last 8 step
     pairs, then Armijo backtracking from the unit step (see
     ``_descend_opnorm``). Each evaluation reads the top eigenpair of an
-    r-by-r Gram matrix, with r the Kraus rank of the channel: above
+    r-by-r Gram matrix, with r the environment of the isometry V (see
+    ``_isometry``), the channel's numerical Choi rank: above
     16 x 16 by a short Lanczos run warm-started from the previous step's
     eigenvector when its answer is certified, else by one eigh; after the
     first uncertified answer the restart uses eigh alone. Each restart's
@@ -328,13 +341,13 @@ def min_output_opnorm(
         raise DimensionCapError(
             f"search supports input dimension up to {MAX_SEARCH_DIM_IN}, got {ch.dim_in}"
         )
-    kraus = kraus_of(ch)
+    iso = _isometry(ch)
     rng = np.random.default_rng(seed)
     best_val = np.inf
     best_psi = None
     for _ in range(restarts):
         x0 = _random_unit(rng, ch.dim_in * ch.dim_in)
-        psi, val = _descend_opnorm(kraus, x0)
+        psi, val = _descend_opnorm(iso, x0)
         if val < best_val:
             best_val, best_psi = val, psi
     return float(best_val), PureState(best_psi)
@@ -363,7 +376,7 @@ def analyze_channel(
     """
     if not 0.0 <= epsilon < 0.5:
         raise ValueError("epsilon must lie in [0, 1/2)")
-    # The search validates its arguments before the shared Kraus set is built.
+    # The search validates its arguments before the isometry is built.
     val, psi = min_output_opnorm(ch, restarts, seed)
     iso = exact_isometry_test(ch)
     if iso.exact_isometry:

@@ -120,21 +120,15 @@ class UnitaryGate:
         )
 
 
-@dataclass(eq=False, frozen=True)
+@dataclass(frozen=True)
 class AddAncilla:
-    line: int = field(default=0, repr=False)
-
-    def __eq__(self, other):
-        return isinstance(other, AddAncilla)
+    line: int = field(default=0, repr=False, compare=False)
 
 
-@dataclass(eq=False, frozen=True)
+@dataclass(frozen=True)
 class TraceOut:
     target: int
-    line: int = field(default=0, repr=False)
-
-    def __eq__(self, other):
-        return isinstance(other, TraceOut) and self.target == other.target
+    line: int = field(default=0, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -516,12 +510,17 @@ def compile_circuit(circuit: Circuit) -> np.ndarray:
     rank of the channel so far, a thin QR compresses the environment to
     that size.
     """
-    n = circuit.input_qubits
+    return _compile(circuit.input_qubits, circuit.gates)
+
+
+def _compile(n: int, gates) -> np.ndarray:
+    """``compile_circuit`` of the gates *gates* on *n* input qubits, which
+    the caller vouches form a valid circuit."""
     d_in = 2 ** n
     # The environment axis comes first, so compression reshapes V without
     # a copy.
     w = np.eye(d_in, dtype=complex)[None]
-    for g in circuit.gates:
+    for g in gates:
         if isinstance(g, UnitaryGate):
             w = _apply_unitary(w, g.matrix, g.targets, n)
         elif isinstance(g, AddAncilla):

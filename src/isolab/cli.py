@@ -20,6 +20,7 @@ from .channels import (
     ChannelHandle,
     DimensionCapError,
     _isometry,
+    _row_weights,
     analyze_channel,
     apply_extended,
     choi_of,
@@ -208,13 +209,11 @@ def analyze(path, epsilon, restarts, seed):
 def choi(path):
     """Choi matrix payload: eigenvalues, rank, and entries."""
     ch = ChannelHandle(_load_circuit(path))
-    v = _isometry(ch)
-    d_env, d_out, d_in = v.shape
-    # The nonzero Choi spectrum is that of the environment Gram matrix M M*
-    # over d_in, with M the isometry as a d_env x (d_out d_in) matrix.
-    m = v.reshape(d_env, d_out * d_in)
-    w = np.linalg.eigvalsh(m @ m.conj().T) / d_in
-    w = np.sort(np.concatenate([w, np.zeros(d_out * d_in - d_env)]))[::-1]
+    # The nonzero Choi spectrum is the row weights of V in its Kraus basis
+    # over d_in, and the rank counts those of the Kraus set.
+    d = ch.dim_out * ch.dim_in
+    w = _row_weights(_isometry(ch)) / ch.dim_in
+    w = np.sort(np.concatenate([w, np.zeros(d - len(w))]))[::-1]
     _emit(
         "choi",
         {"path": path},
@@ -235,13 +234,12 @@ def kraus(path):
     """Minimal Kraus operators and the reconstruction residual."""
     ch = ChannelHandle(_load_circuit(path))
     k = kraus_of(ch)
-    # d_in max|J_Kraus - J| against the Choi matrix J of the compiled
-    # circuit: the largest entry error of the Kraus set's output on any
-    # matrix unit |i><j|. d_in (J - J_Kraus) is the Choi part of the
-    # environment directions the Kraus set drops, positive semidefinite, so
-    # its largest entry lies on its diagonal: a difference of column weights.
-    weights = np.sum(np.abs(_isometry(ch)) ** 2, axis=0)
-    residual = float(np.abs(weights - np.sum(np.abs(k) ** 2, axis=0)).max())
+    # d_in max|J_Kraus - J| against the Choi matrix J of the channel: the
+    # largest entry error of the Kraus set's output on any matrix unit
+    # |i><j|. d_in (J - J_Kraus) is the Choi part of the rows of V past the
+    # Kraus set, positive semidefinite, so its largest entry lies on its
+    # diagonal: the largest column weight of those rows.
+    residual = float(np.sum(np.abs(_isometry(ch)[len(k):]) ** 2, axis=0).max())
     gram = np.tensordot(k.conj(), k, axes=([0, 1], [0, 1]))
     _emit(
         "kraus",

@@ -16,10 +16,12 @@ beside it, the mixing search's constants ``SEARCH_*``: gain floor 1e-10,
 squared-gradient floor 1e-20, Armijo constant 1e-4, 400 steps and a
 quasi-Newton memory of 8. A warm-started top eigenpair must reach a
 residual of ``RITZ_TOL`` = 1e-12 relative to the Frobenius norm before it
-stands in for ``eigh``. The other cuts and slacks:
+stands in for ``eigh``. The eigh noise floor ``_NOISE_FLOOR`` is 64
+machine epsilons of the largest eigenvalue: ``_psd_sqrt`` zeroes the
+eigenvalues at or below it before it takes square roots, and
+``channels._isometry`` drops the environment directions at or below it.
+The other cuts and slacks:
 
-* ``_psd_sqrt`` zeroes eigenvalues at or below 64 machine epsilons of the
-  largest before it takes square roots;
 * ``channels.extract_approx_isometry`` aligns a column's phase with the
   first column's only where the overlap that fixes it exceeds 1e-12 in
   modulus;
@@ -53,6 +55,9 @@ RITZ_TOL = 1e-12
 _KRYLOV_MIN_DIM = 16
 _KRYLOV_VECTORS = 8
 _EPS = float(np.finfo(float).eps)
+# Eigenvalues of a PSD matrix at or below this multiple of the largest are
+# eigh rounding.
+_NOISE_FLOOR = 64.0 * _EPS
 
 
 def as_matrix(x) -> np.ndarray:
@@ -96,7 +101,7 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     # Eigenvalues at the eigh noise floor are zeroed: the square root would
     # otherwise blow 1e-17 rounding up to 1e-8-scale entries.
     w, v = np.linalg.eigh(m)
-    cut = 64.0 * np.finfo(float).eps * max(float(w[-1]), 0.0)
+    cut = _NOISE_FLOOR * max(float(w[-1]), 0.0)
     w = np.where(w > cut, w, 0.0)
     return (v * np.sqrt(w)) @ v.conj().T
 

@@ -102,10 +102,12 @@ class ProtocolResult:
 
 
 def _check_protocol_cap(ch: ChannelHandle) -> None:
-    """Refuse a protocol whose two-copy witness or output would exceed the
-    cap; checked before any witness is built."""
+    """Refuse a protocol whose two-copy witness, or the matrix Q = M* M of
+    dimension d_env d_in that it forms from V (see ``_swap_observable``),
+    would exceed the cap; checked before any witness is built, and the
+    witness before V is compiled."""
     cap = max_total_dim()
-    if ch.dim_in ** 4 > cap or (ch.dim_out * ch.dim_in) ** 2 > cap:
+    if ch.dim_in ** 4 > cap or len(_isometry(ch)) * ch.dim_in > cap:
         raise DimensionCapError(
             f"protocol dimension exceeds the cap of {cap} (set ISOLAB_MAX_DIM to override)"
         )
@@ -312,33 +314,23 @@ def check_protocol_bounds(
         holds=honest.p_accept >= lower - BOUNDS_SLACK,
     )
 
-    iso = exact_isometry_test(ch)
+    exact = exact_isometry_test(ch).exact_isometry
     family = symmetric_witness_family(ch, n_random=n_random_witnesses, seed=seed)
     max_p = max(run_protocol_exact(ch, w).p_accept for w in family)
-    if iso.exact_isometry:
-        soundness = SoundnessCheck(
-            exact_isometry=True,
-            epsilon_used=0.0,
-            epsilon_source="exact",
-            max_p_accept=max_p,
-            upper_bound=0.0,
-            holds=max_p <= TOL,
-            n_witnesses=len(family),
-            seed=seed,
-        )
+    if exact:
+        eps, source, slack = 0.0, "exact", TOL
+    elif epsilon is not None:
+        eps, source, slack = float(epsilon), "given", BOUNDS_SLACK
     else:
-        if epsilon is not None:
-            eps, source = float(epsilon), "given"
-        else:
-            eps, source = probe_epsilon(ch, seed=seed), "probes"
-        soundness = SoundnessCheck(
-            exact_isometry=False,
-            epsilon_used=eps,
-            epsilon_source=source,
-            max_p_accept=max_p,
-            upper_bound=9.0 * eps,
-            holds=max_p <= 9.0 * eps + BOUNDS_SLACK,
-            n_witnesses=len(family),
-            seed=seed,
-        )
+        eps, source, slack = probe_epsilon(ch, seed=seed), "probes", BOUNDS_SLACK
+    soundness = SoundnessCheck(
+        exact_isometry=exact,
+        epsilon_used=eps,
+        epsilon_source=source,
+        max_p_accept=max_p,
+        upper_bound=9.0 * eps,
+        holds=max_p <= 9.0 * eps + slack,
+        n_witnesses=len(family),
+        seed=seed,
+    )
     return ProtocolBoundsReport(completeness, soundness)

@@ -37,10 +37,10 @@ from .circuits import (
     Circuit,
     CircuitParseError,
     TraceOut,
+    _compile,
     cdepolarize_gate,
     dephase_gate,
     gate,
-    isometry_matrix,
     parse_circuit,
 )
 from .linalg import PureState, top_eigenpair
@@ -134,20 +134,12 @@ def parse_verifier(source: str) -> VerifierSpec:
     )
 
 
-def witness_injection(v: VerifierSpec) -> np.ndarray:
-    """Matrix mapping the witness register into the verifier input space
-    with the ancilla register fixed at |0>."""
-    w = v.witness_qubits
-    n = v.circuit.input_qubits
-    k = len(w)
-    j = np.zeros((2 ** n, 2 ** k), dtype=complex)
-    for wbits in range(2 ** k):
-        x = 0
-        for pos, q in enumerate(w):
-            bit = (wbits >> (k - 1 - pos)) & 1
-            x |= bit << (n - 1 - q)
-        j[x, wbits] = 1.0
-    return j
+def _verifier_gates(v: VerifierSpec) -> list:
+    """The verifier on its witness register, which opens the reduced
+    channel: ancillas appended in |0> and swapped with the witness qubits
+    into their declared positions, then the body."""
+    order = list(v.witness_qubits) + list(v.ancilla_qubits)
+    return [AddAncilla() for _ in v.ancilla_qubits] + _placement_swaps(order) + list(v.circuit.gates)
 
 
 def max_accept_prob(v: VerifierSpec) -> tuple[float, PureState]:
@@ -155,15 +147,16 @@ def max_accept_prob(v: VerifierSpec) -> tuple[float, PureState]:
 
     The acceptance probability is linear in the witness projector, so the
     maximum is the top eigenvalue of the induced acceptance operator on
-    the witness space; this is exact, no search involved.
+    the witness space; this is exact, no search involved. It is read off
+    ``_verifier_gates``, valid as the verifier is, compiled: an isometry,
+    with a one-dimensional environment.
     """
     n_in = v.circuit.input_qubits
     if n_in > MAX_VERIFIER_QUBITS:
         raise DimensionCapError(
             f"verifier supports up to {MAX_VERIFIER_QUBITS} input qubits, got {n_in}"
         )
-    body = isometry_matrix(v.circuit)
-    t = body @ witness_injection(v)
+    t = _compile(len(v.witness_qubits), _verifier_gates(v))[0]
     n_out = v.circuit.output_qubits
     shift = n_out - 1 - v.measured_qubit
     accept = np.array(
@@ -211,12 +204,7 @@ def build_instance(v: VerifierSpec, epsilon: float) -> ReductionOutput:
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon out of range (need 0 < epsilon < 1/2)")
-    k = len(v.witness_qubits)
-    n_in = v.circuit.input_qubits
-    gates: list = [AddAncilla() for _ in v.ancilla_qubits]
-    order = list(v.witness_qubits) + list(v.ancilla_qubits)
-    gates += _placement_swaps(order)
-    gates += list(v.circuit.gates)
+    gates = _verifier_gates(v)
     n_out_body = v.circuit.output_qubits
     pad = 0
     while (2 ** (n_out_body + pad)) * epsilon <= 2.0:
@@ -226,7 +214,7 @@ def build_instance(v: VerifierSpec, epsilon: float) -> ReductionOutput:
     gates.append(dephase_gate(v.measured_qubit))
     gates.append(cdepolarize_gate(v.measured_qubit, *mix_targets))
     return ReductionOutput(
-        channel_circuit=Circuit(k, gates),
+        channel_circuit=Circuit(len(v.witness_qubits), gates),
         padding_qubits=pad,
         mixing_dim=2 ** len(mix_targets),
         measured_qubit=v.measured_qubit,

@@ -508,6 +508,23 @@ def isometry_oracle(circuit):
     return np.stack(cols, axis=1)
 
 
+def witness_injection_oracle(v):
+    """Matrix mapping the witness register of the verifier *v* into its
+    input space with the ancilla register at |0>, one witness basis state
+    at a time by bit arithmetic."""
+    w = v.witness_qubits
+    n = v.circuit.input_qubits
+    k = len(w)
+    j = np.zeros((2 ** n, 2 ** k), dtype=complex)
+    for wbits in range(2 ** k):
+        x = 0
+        for pos, q in enumerate(w):
+            bit = (wbits >> (k - 1 - pos)) & 1
+            x |= bit << (n - 1 - q)
+        j[x, wbits] = 1.0
+    return j
+
+
 def swap_operator(dim):
     """Swap of two *dim*-dimensional factors, |i,j> -> |j,i>, as an explicit
     matrix."""

@@ -30,6 +30,7 @@ from isolab import (
     append_output_depolarizing,
     apply_extended,
     choi_of,
+    compile_circuit,
     exact_isometry_test,
     extract_approx_isometry,
     isometry_matrix,
@@ -44,6 +45,7 @@ from isolab import (
 )
 from isolab.channels import _gradient, _isometry, _probe_family, _top_output
 from isolab.circuits import AddAncilla, Circuit, UnitaryGate
+from isolab.linalg import _NOISE_FLOOR
 
 IDENTITY = "qubits 1\n"
 DEPOLARIZER = "qubits 1\nchannel depolarize 0\n"
@@ -79,6 +81,17 @@ class TestChoi:
             ch = ChannelHandle(random_circuit(rng))
             marg = partial_trace_oracle(choi_of(ch).matrix, [ch.dim_out, ch.dim_in], keep=[1])
             assert np.abs(marg - np.eye(ch.dim_in) / ch.dim_in).max() < 1e-9
+
+    def test_payload_keeps_compiled_zeros(self):
+        # The payload is formed from the isometry as compiled, whose rows
+        # keep the circuit's structure; V's Kraus basis would print some of
+        # these exact zeros as rounding (1790 of 3840 on one circuit here).
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            circuit = random_circuit(rng)
+            v = compile_circuit(circuit)
+            f = v.reshape(len(v), -1).T
+            assert np.array_equal(choi_of(ChannelHandle(circuit)).matrix == 0, f @ f.conj().T == 0)
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapError):
@@ -204,12 +217,48 @@ class TestKraus:
         assert len(ops) == (1 if dropped else 4)
         assert completeness_defect_oracle(ops) == pytest.approx(0.75 * s if dropped else 0.0, abs=1e-12)
 
-    def test_read_only_and_cached(self):
+    def test_read_only_and_cached(self, monkeypatch):
+        # The Kraus set is a view of V's leading rows, read without any
+        # decomposition of its own.
         ch = handle(DEPHASE)
+        v = _isometry(ch)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kraus_of decomposed a matrix")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         ops = kraus_of(ch)
-        assert kraus_of(ch) is ops
+        assert np.shares_memory(ops, v)
         with pytest.raises(ValueError, match="read-only"):
             ops[0, 0, 0] = 1.0
+
+
+class TestKrausBasis:
+    """V is kept in the eigenbasis of its environment Gram matrix: its rows
+    are pairwise orthogonal, largest weight first, none at the eigh noise
+    floor, and V stays an isometry."""
+
+    @settings(max_examples=60)
+    @given(circuit=mixed_circuits())
+    def test_rows_orthogonal_and_ordered(self, circuit):
+        ch = ChannelHandle(circuit)
+        v = _isometry(ch)
+        m = v.reshape(len(v), -1)
+        gram = m.conj() @ m.T
+        weights = np.diag(gram).real
+        assert np.abs(gram - np.diag(weights)).max() <= 1e-12
+        assert np.all(np.diff(weights) <= 1e-12)
+        assert weights.min() > _NOISE_FLOOR * weights.max()
+        vv = np.tensordot(v.conj(), v, axes=([0, 1], [0, 1]))
+        assert np.abs(vv - np.eye(ch.dim_in)).max() <= 1e-12
+
+    def test_output_depolarized_unitary_at_zero_strength(self):
+        # The compile leaves an environment of d_out d_in = 64 for this
+        # rank-one channel; all but one direction is rounding.
+        circuit = depolarized_unitary(3, 0.0, seed=5)
+        assert len(compile_circuit(circuit)) == 64
+        assert _isometry(ChannelHandle(circuit)).shape == (1, 8, 8)
 
 
 class TestExactIsometry:

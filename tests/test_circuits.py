@@ -285,6 +285,13 @@ class TestRoundTrip:
             assert back == c
             assert serialize_circuit(back) == text
 
+    def test_gate_equality_ignores_source_line(self):
+        assert AddAncilla(line=3) == AddAncilla()
+        assert TraceOut(1, line=4) == TraceOut(1) != TraceOut(0)
+        assert ChannelGate("dephase", (0,), line=5) == ChannelGate("dephase", (0,))
+        assert AddAncilla() != TraceOut(0)
+        assert len({TraceOut(1, line=2), TraceOut(1, line=7), AddAncilla(line=1)}) == 2
+
     def test_umatrix_entries_exact(self):
         rng = np.random.default_rng(43)
         u = random_unitary(rng, 4)

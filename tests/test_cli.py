@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,12 +11,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import _call_log, choi_oracle, density_oracle, kraus_apply_oracle, mixed_circuits, report_oracle
+from conftest import (
+    _call_log,
+    choi_oracle,
+    density_oracle,
+    kraus_apply_oracle,
+    mixed_circuits,
+    random_unitary,
+    report_oracle,
+)
 from isolab import (
     ChannelHandle,
+    Circuit,
+    UnitaryGate,
     append_output_depolarizing,
+    build_instance,
     choi_of,
+    compile_circuit,
     parse_circuit,
+    parse_verifier,
     serialize_circuit,
 )
 from isolab.channels import RANK_TOL
@@ -156,20 +170,36 @@ class TestChoiKraus:
 
     def test_choi_diagonalizes_only_environment_gram(self, runner, tmp_path, monkeypatch):
         # The dephase leaves an environment of dimension 2 on a 64 x 64 Choi
-        # matrix.
+        # matrix: one eigh of its Gram matrix gives both rank and spectrum.
         shapes = []
-        real = np.linalg.eigvalsh
+        real = np.linalg.eigh
 
         def recording(a, *args, **kwargs):
             shapes.append(np.shape(a))
             return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        def refuse(*args, **kwargs):
+            raise AssertionError("choi ran eigvalsh")
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         path = write(tmp_path, "c.circuit", "qubits 3\ngate H 0\ngate CNOT 0 1\ngate CNOT 1 2\nchannel dephase 2\n")
         res = runner.invoke(main, ["choi", path])
         assert res.exit_code == 0
         assert shapes == [(2, 2)]
         assert json.loads(res.output)["results"]["rank"] == 2
+
+    def test_rank_counts_spectrum_at_threshold(self, runner, tmp_path):
+        # Output noise of strength s adds three Choi eigenvalues of s/4;
+        # within rounding of s = 4 RANK_TOL they straddle the rank cut, and
+        # the rank must still count the reported eigenvalues above it.
+        for seed in range(48):
+            rng = np.random.default_rng(seed)
+            base = Circuit(1, [UnitaryGate("umatrix", (0,), random_unitary(rng, 2))])
+            s = 4.0 * RANK_TOL * (1.0 + rng.uniform(-1e-14, 1e-14))
+            path = write(tmp_path, f"c{seed}.circuit", serialize_circuit(append_output_depolarizing(base, s)))
+            r = json.loads(runner.invoke(main, ["choi", path]).output)["results"]
+            assert r["rank"] == sum(w > RANK_TOL for w in r["eigenvalues"]), seed
 
     def test_kraus_forms_no_choi_sized_array(self, runner, tmp_path, choi_calls):
         body = "".join(f"gate H {q}\ngate CNOT {q} {(q + 1) % 5}\n" for q in range(5))
@@ -189,7 +219,7 @@ class TestChoiKraus:
         def diverge(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", diverge)
+        monkeypatch.setattr(np.linalg, "eigh", diverge)
         path = write(tmp_path, "c.circuit", DEPOLARIZER)
         res = runner.invoke(main, ["choi", path])
         assert res.exit_code == 1
@@ -415,6 +445,31 @@ class TestProtocol:
         assert r["shots"]["n"] == 2000
 
 
+class TestProtocolCap:
+    def test_wide_output_runs_at_default_cap(self, runner, tmp_path):
+        # 1 -> 6 qubits: a two-copy output of (64 * 2)^2 entries a side, which
+        # the protocol never forms; Q = M* M is 2 x 2.
+        path = write(tmp_path, "c.circuit", "qubits 1\n" + "ancilla\n" * 5 + "gate H 0\ngate CNOT 0 1\n")
+        res = runner.invoke(main, ["protocol", path, "--restarts", "2"])
+        assert res.exit_code == 0
+        assert json.loads(res.output)["results"]["p_accept"] <= 1e-9
+
+    def test_environment_over_cap_refused_before_q(self, runner, tmp_path, monkeypatch):
+        # Depolarizing three qubits of a 1-qubit input leaves a Choi rank of
+        # 16, so Q has dimension 16 * 2 = 32, over a cap of 16 that the
+        # channel itself (8 x 2) and the witness (16) meet.
+        import isolab.protocol as protocol
+
+        def refuse(ch):
+            raise AssertionError("formed Q over the cap")
+
+        monkeypatch.setattr(protocol, "_swap_observable", refuse)
+        path = write(tmp_path, "c.circuit", "qubits 1\nancilla\nancilla\nchannel depolarize 0 1 2\n")
+        res = runner.invoke(main, ["protocol", path, "--restarts", "1"], env={"ISOLAB_MAX_DIM": "16"})
+        assert res.exit_code == 3
+        assert "protocol dimension exceeds the cap of 16" in res.output
+
+
 class TestReduce:
     def test_emits_validating_instance(self, runner, tmp_path):
         path = write(tmp_path, "v.verifier", ACCEPT_IF_ONE)
@@ -465,6 +520,54 @@ class TestReduce:
         check = json.loads(first.output)["results"]["check"]
         assert check["case"] == "high-acceptance"
         assert check["bound_holds"] is True
+
+
+class TestOneDecomposition:
+    """Each command decomposes the environment Gram matrix of the compiled
+    isometry once: one d_env x d_env eigh outside the top eigenpairs of the
+    search and of the acceptance operator, and no eigvalsh of it."""
+
+    SEARCH = {"top_eigenpair", "_certified_ritz_pair"}
+
+    @pytest.mark.parametrize(
+        "command,extra",
+        [
+            # The analyze report adds the purity metrics of the minimizer's
+            # 64 x 64 extended output.
+            (["analyze", "{c}", "--restarts", "2"], [("eigvalsh", (64, 64))]),
+            (["choi", "{c}"], []),
+            (["kraus", "{c}"], []),
+            (["reduce", "{v}", "--check", "--restarts", "1", "--output", "{i}"], []),
+        ],
+        ids=["analyze", "choi", "kraus", "reduce-check"],
+    )
+    def test_one_environment_eigh(self, runner, tmp_path, monkeypatch, command, extra):
+        source = "qubits 3\ngate H 0\ngate CNOT 0 1\ngate CNOT 1 2\nchannel dephase 2\n"
+        paths = {
+            "c": write(tmp_path, "c.circuit", source),
+            "v": write(tmp_path, "v.verifier", ACCEPT_IF_ONE),
+            "i": str(tmp_path / "i.circuit"),
+        }
+        if command[0] == "reduce":
+            circuit = build_instance(parse_verifier(ACCEPT_IF_ONE), 0.3).channel_circuit
+        else:
+            circuit = parse_circuit(source)
+        d_env = len(compile_circuit(circuit))
+        calls = []
+
+        def recording(real):
+            def wrapper(a, *args, **kwargs):
+                if sys._getframe(1).f_code.co_name not in self.SEARCH:
+                    calls.append((real.__name__, np.shape(a)))
+                return real(a, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+        res = runner.invoke(main, [a.format(**paths) for a in command])
+        assert res.exit_code == 0
+        assert calls == [("eigh", (d_env, d_env))] + extra
 
 
 class TestValidationPasses:

@@ -490,7 +490,7 @@ class TestTrustBoundary:
             run_protocol_exact(handle(DEPOLARIZER), np.eye(64) / 64)
         assert full_validations == []
 
-    def test_over_cap_witness_never_built(self, monkeypatch):
+    def test_over_cap_witness_never_built(self, monkeypatch, compile_calls):
         # At 2 input qubits a two-copy witness is 256 x 256, over a cap of 64.
         monkeypatch.setenv("ISOLAB_MAX_DIM", "64")
         factors = []
@@ -507,6 +507,7 @@ class TestTrustBoundary:
         with pytest.raises(DimensionCapError):
             symmetric_witness_family(ch, n_random=1)
         assert factors == []
+        assert compile_calls == []
 
     def test_over_cap_witness_fails_before_validation(self, full_validations, monkeypatch):
         monkeypatch.setenv("ISOLAB_MAX_DIM", "8")

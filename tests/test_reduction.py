@@ -11,6 +11,7 @@ from conftest import (
     kraus_apply_oracle,
     random_pure,
     random_unitary,
+    witness_injection_oracle,
 )
 from isolab import (
     ChannelHandle,
@@ -26,9 +27,9 @@ from isolab import (
     parse_circuit,
     parse_verifier,
     serialize_circuit,
-    witness_injection,
 )
-from isolab.reduction import VerifierSpec
+from isolab.circuits import _compile
+from isolab.reduction import VerifierSpec, _verifier_gates
 
 ACCEPT_IF_ONE = """witness: 0
 ancilla:
@@ -168,13 +169,22 @@ class TestMaxAcceptProb:
     def test_coin_flip_half_for_every_witness(self):
         v = parse_verifier(COIN_FLIP)
         body = isometry_matrix(v.circuit)
-        j = witness_injection(v)
+        j = witness_injection_oracle(v)
         t = body @ j
         accept = np.diag([(x >> 0) & 1 for x in range(4)]).astype(float)
         e = t.conj().T @ accept @ t
         assert np.abs(e - np.eye(2) / 2).max() < 1e-10
         p, _ = max_accept_prob(v)
         assert p == pytest.approx(0.5, abs=1e-10)
+
+    def test_layout_matches_witness_injection_oracle(self):
+        # The verifier's gates on its witness register against the body's
+        # matrix on a witness placed by bit arithmetic.
+        rng = np.random.default_rng(74)
+        for _ in range(6):
+            v = _random_verifier(rng)
+            t = _compile(len(v.witness_qubits), _verifier_gates(v))[0]
+            assert np.abs(t - isometry_matrix(v.circuit) @ witness_injection_oracle(v)).max() <= 1e-12
 
     def test_always_reject(self):
         p, _ = max_accept_prob(parse_verifier(ALWAYS_REJECT))
@@ -207,7 +217,7 @@ def _simulate_accept_prob(v, witness):
     """Accept probability read off the measured-qubit marginal after running
     the body on witness (x) |0> ancillas."""
     body = isometry_matrix(v.circuit)
-    j = witness_injection(v)
+    j = witness_injection_oracle(v)
     out_vec = body @ j @ witness.amplitudes
     n_out = v.circuit.output_qubits
     shift = n_out - 1 - v.measured_qubit
@@ -316,7 +326,7 @@ def _premeasurement_split(v, inst, psi):
     """Accept amplitude weight and residual reference state of the pure
     pre-measurement state, computed independently of the channel engine."""
     body = isometry_matrix(v.circuit)
-    j = witness_injection(v)
+    j = witness_injection_oracle(v)
     d_w = j.shape[1]
     phi = np.kron(body @ j, np.eye(d_w)) @ psi.amplitudes
     n_out = v.circuit.output_qubits
