@@ -3,9 +3,10 @@
 Every command prints a JSON report: exactly the text of
 ``json.dumps(report, indent=2, sort_keys=True)`` plus a newline, with each
 array written as its nested lists and complex numbers as two-element
-[re, im] arrays. Given identical input files, flags, and seed the report is
+[re, im] arrays. The report is streamed to stdout piece by piece, each array
+in blocks. Given identical input files, flags, and seed the report is
 byte-identical across runs. Exit codes: 0 success, 2 input error, 3
-resource cap exceeded, 1 internal failure.
+resource cap exceeded, 1 internal failure or a failed write of the report.
 """
 
 import functools
@@ -42,51 +43,89 @@ from .reduction import build_instance, check_reduction, max_accept_prob, parse_v
 # json.dumps spells them, strings escaped to ASCII.
 _ENCODER = json.JSONEncoder()
 
+# Leaves of an array formatted into one write.
+_BLOCK = 1 << 15
 
-def _dumps(obj, level: int = 0) -> str:
-    """*obj* laid out as ``json.dumps(obj, indent=2, sort_keys=True)`` lays
-    it out at nesting depth *level*, with each ndarray standing for its
+_MAGNITUDE = np.int64((1 << 63) - 1)
+# Every float64 whose bits read as an int64 at or below -inf's is negative
+# and not a NaN.
+_NEG_INF = np.array(-np.inf).view(np.int64)
+
+
+class _OutputError(Exception):
+    """Writing the report to stdout failed."""
+
+
+def _write(out, obj, level: int = 0) -> None:
+    """Write *obj* to *out* as ``json.dumps(obj, indent=2, sort_keys=True)``
+    lays it out at nesting depth *level*, with each ndarray standing for its
     ``tolist()`` and complex entries for [re, im] pairs."""
     if isinstance(obj, np.ndarray):
-        return _dumps_array(obj, level)
+        _write_array(out, obj, level)
+        return
     pad, end = "\n" + "  " * (level + 1), "\n" + "  " * level
-    if isinstance(obj, dict):
-        items = (f"{_ENCODER.encode(k)}: {_dumps(obj[k], level + 1)}" for k in sorted(obj))
-        return "{" + pad + ("," + pad).join(items) + end + "}" if obj else "{}"
-    if isinstance(obj, (list, tuple)):
-        items = (_dumps(x, level + 1) for x in obj)
-        return "[" + pad + ("," + pad).join(items) + end + "]" if obj else "[]"
-    return _ENCODER.encode(obj)
+    if isinstance(obj, dict) and obj:
+        sep = "{"
+        for k in sorted(obj):
+            out.write(f"{sep}{pad}{_ENCODER.encode(k)}: ")
+            _write(out, obj[k], level + 1)
+            sep = ","
+        out.write(end + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        sep = "["
+        for x in obj:
+            out.write(sep + pad)
+            _write(out, x, level + 1)
+            sep = ","
+        out.write(end + "]")
+    else:
+        out.write(_ENCODER.encode(obj))
 
 
-def _dumps_array(a: np.ndarray, level: int) -> str:
-    """A float or complex array at depth *level*: each distinct float64 bit
-    pattern is formatted once, and between two leaves goes one of nd
-    separators, chosen by how many trailing axes close there."""
+def _write_array(out, a: np.ndarray, level: int) -> None:
+    """A float or complex array at depth *level*, in blocks of _BLOCK
+    leaves. Each distinct float64 magnitude is formatted once; a negative
+    leaf's ``-`` goes on the bracket or separator written before it, and
+    between two leaves goes one of nd separators, chosen by how many
+    trailing axes close there."""
     if a.dtype.kind == "c":
         a = np.asarray(a, dtype=complex)
         a = a.reshape(-1).view(float).reshape(a.shape + (2,))
     else:
         a = np.asarray(a, dtype=float)
     if a.ndim == 0 or a.size == 0:
-        return _dumps(a.tolist(), level)
-    bits, inverse = np.unique(a.reshape(-1).view(np.int64), return_inverse=True)
-    texts = _ENCODER.encode(bits.view(float).tolist())[1:-1].split(", ")
+        _write(out, a.tolist(), level)
+        return
+    bits = a.reshape(-1).view(np.int64)
+    # No NaN counts as negative: json.dumps prints NaN whatever its sign bit.
+    neg = bits <= _NEG_INF
+    mags, inverse = np.unique(bits & _MAGNITUDE, return_inverse=True)
+    texts = _ENCODER.encode(mags.view(float).tolist())[1:-1].split(", ")
+    texts = np.array(texts, dtype=object)
     nd = a.ndim
     pads = ["\n" + "  " * (level + k) for k in range(nd + 1)]
     opens = ["[" + pads[k + 1] for k in range(nd)]
     closes = [pads[k] + "]" for k in range(nd)]
     seps = ["".join(closes[nd - 1:nd - 1 - c:-1]) + "," + pads[nd - c] + "".join(opens[nd - c:])
             for c in range(nd)]
-    which = np.zeros(a.size - 1, dtype=np.intp)
+    # After leaf i comes separator which[i], with a "-" if leaf i + 1 is
+    # negative; after the last leaf every axis closes.
+    seps = np.array(seps + [s + "-" for s in seps] + ["".join(reversed(closes))], dtype=object)
+    which = np.zeros(a.size, dtype=np.intp)
     stride = 1
     for c in range(1, nd):
         stride *= a.shape[nd - c]
         which[stride - 1::stride] = c
-    out = np.empty(2 * a.size - 1, dtype=object)
-    out[0::2] = np.array(texts, dtype=object)[inverse]
-    out[1::2] = np.array(seps, dtype=object)[which]
-    return "".join(opens) + "".join(out.tolist()) + "".join(reversed(closes))
+    which[:-1] += nd * neg[1:]
+    which[-1] = 2 * nd
+    out.write("".join(opens) + ("-" if neg[0] else ""))
+    block = np.empty(2 * min(_BLOCK, a.size), dtype=object)
+    for i in range(0, a.size, _BLOCK):
+        j = min(i + _BLOCK, a.size)
+        part = block[:2 * (j - i)]
+        part[0::2] = texts[inverse[i:j]]
+        part[1::2] = seps[which[i:j]]
+        out.write("".join(part.tolist()))
 
 
 def _emit(command: str, inputs: dict, results: dict, seed=None) -> None:
@@ -97,12 +136,17 @@ def _emit(command: str, inputs: dict, results: dict, seed=None) -> None:
         "seed": seed,
         "version": __version__,
     }
-    # Written as is: click.echo would copy the text once more and scan it
-    # for ANSI escapes whenever stdout is not a terminal.
+    # Streamed piece by piece and each array in blocks, so no string as
+    # long as the report is built; click.echo is not on the path, as it
+    # would scan each piece for ANSI escapes whenever stdout is not a
+    # terminal.
     out = sys.stdout
-    out.write(_dumps(report))
-    out.write("\n")
-    out.flush()
+    try:
+        _write(out, report)
+        out.write("\n")
+        out.flush()
+    except OSError as exc:
+        raise _OutputError(f"writing the report failed: {exc}") from exc
 
 
 def _guarded(fn):
@@ -113,6 +157,9 @@ def _guarded(fn):
         except DimensionCapError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
+        except _OutputError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
         except np.linalg.LinAlgError as exc:
             # A ValueError subclass, but a fault of the computation, not of
             # the input.

@@ -1,8 +1,11 @@
 import contextlib
+import errno
+import io
 import json
 import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from conftest import (
     report_oracle,
 )
 from isolab import (
+    AddAncilla,
     ChannelHandle,
     Circuit,
     UnitaryGate,
@@ -33,7 +37,8 @@ from isolab import (
     serialize_circuit,
 )
 from isolab.channels import RANK_TOL
-from isolab.cli import _dumps, main
+from isolab import cli
+from isolab.cli import _emit, _write, main
 
 DEPOLARIZER = "qubits 1\nchannel depolarize 0\n"
 IDENTITY = "qubits 1\n"
@@ -55,6 +60,18 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def written(obj):
+    """The text the report writer writes for *obj*."""
+    out = io.StringIO()
+    _write(out, obj)
+    return out.getvalue()
+
+
+def dumps(obj):
+    """The oracle: ``json.dumps`` on the report as nested lists."""
+    return json.dumps(report_oracle(obj), indent=2, sort_keys=True)
 
 
 class TestValidate:
@@ -226,8 +243,16 @@ class TestChoiKraus:
         assert res.output == "error: linear algebra failed: Eigenvalues did not converge\n"
 
 
+def pairs(re, im):
+    """The complex array with these parts, bit for bit (``re + 1j * im``
+    would turn an infinite part into NaNs)."""
+    z = np.empty(re.shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
 class TestComplexPayload:
-    """The emitter's array rendering against the per-entry [re, im]
+    """The writer's array rendering against the per-entry [re, im]
     construction, compared as indented report text."""
 
     @staticmethod
@@ -242,7 +267,51 @@ class TestComplexPayload:
         a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         flat = a.reshape(-1)
         flat[:6] = [-0.0 + 0.0j, complex(0.0, -0.0), 1e-320 - 1e-320j, 1e300 + 0j, -1e300j, 5e-324]
-        assert _dumps(a) == json.dumps(self.per_entry(a), indent=2, sort_keys=True)
+        assert written(a) == json.dumps(self.per_entry(a), indent=2, sort_keys=True)
+
+    def test_negative_nan_prints_nan(self):
+        # The sign of a NaN is not folded out: no "-" goes before it.
+        nan = np.array([math.nan, 1.0]).view(np.int64)
+        nan[0] |= np.int64(-(1 << 63))
+        a = nan.view(float)
+        assert np.signbit(a[0]) and np.isnan(a[0])
+        assert written(a) == "[\n  NaN,\n  1.0\n]"
+        z = pairs(a[::-1], a)
+        assert np.signbit(z[0].imag) and np.signbit(z[1].real)
+        assert written({"z": z}) == dumps({"z": z})
+
+    @pytest.mark.parametrize("first", [-0.0, 0.0, -5e-324, 5e-324, -math.inf])
+    def test_signed_extremes(self, first):
+        # Each value leads the array (its "-" on the opening bracket) and
+        # follows each separator kind, next to its own magnitude.
+        vals = np.array([first, -0.0, 0.0, 5e-324, -5e-324, math.inf, -math.inf, -1.5, 1.5])
+        for a in (vals, vals.reshape(3, 3), vals[:8].reshape(2, 2, 2), pairs(vals, vals[::-1])):
+            assert written(a) == dumps(a)
+        assert written(vals).startswith("[\n  -" if np.signbit(first) else "[\n  ")
+
+    def test_hermitian_matrix(self):
+        # Mirror entries share their magnitudes and differ in the sign of
+        # the imaginary part.
+        rng = np.random.default_rng(91)
+        x = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+        h = x + x.conj().T
+        assert np.array_equal(h, h.conj().T)
+        assert written(h) == json.dumps(self.per_entry(h), indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_block_edges(self, delta):
+        rng = np.random.default_rng(92)
+        a = rng.normal(size=cli._BLOCK + delta)
+        assert written({"a": a}) == dumps({"a": a})
+
+    def test_rows_straddle_blocks(self):
+        # A 3-d complex array whose rows of 7 [re, im] pairs (14 leaves)
+        # do not divide the block, so blocks end inside rows, pairs and
+        # matrices.
+        rng = np.random.default_rng(93)
+        a = rng.normal(size=(3, 1700, 7)) - 1j * rng.normal(size=(3, 1700, 7))
+        assert a.size * 2 > 2 * cli._BLOCK and cli._BLOCK % 14 and cli._BLOCK % (1700 * 14)
+        assert written({"a": [a]}) == dumps({"a": [a]})
 
 
 FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, 1e-320, 1e300, -1e300, math.nan, math.inf, -math.inf]) | st.floats()
@@ -265,20 +334,27 @@ REPORTS = st.recursive(
 
 
 class TestReportText:
-    """The emitter against ``json.dumps(indent=2, sort_keys=True)`` on the
+    """The writer against ``json.dumps(indent=2, sort_keys=True)`` on the
     same report with every array turned into nested lists."""
 
     @settings(max_examples=300)
     @given(report=REPORTS)
     def test_matches_json_dumps(self, report):
-        assert _dumps(report) == json.dumps(report_oracle(report), indent=2, sort_keys=True)
+        assert written(report) == dumps(report)
+
+    @settings(max_examples=200)
+    @given(report=REPORTS)
+    def test_small_blocks(self, report):
+        # Blocks of three leaves end between every kind of separator.
+        with mock.patch.object(cli, "_BLOCK", 3):
+            assert written(report) == dumps(report)
 
     def test_array_views(self):
         # Transposed, reversed and strided views render as their tolist().
         a = np.arange(24, dtype=float).reshape(2, 3, 4) - 11.5
         z = a + 1j * a[::-1]
         for view in (a.T, a[:, ::-1, ::2], z.transpose(2, 0, 1), z[..., ::-3]):
-            assert _dumps({"v": view}) == json.dumps(report_oracle({"v": view}), indent=2, sort_keys=True)
+            assert written({"v": view}) == dumps({"v": view})
 
 
 ISOMETRY_3Q = "qubits 3\nancilla\ngate H 0\ngate CNOT 0 3\ngate CNOT 1 2\ngate T 2\n"
@@ -332,6 +408,82 @@ class TestHarnessShapedRun:
         ch = ChannelHandle(parse_circuit(NOISY_2Q))
         assert report["results"]["matrix"] == report_oracle(choi_of(ch).matrix)
         assert report["command"] == "choi"
+
+
+class WriteLog:
+    """A stdout that keeps only the length of each write."""
+
+    def __init__(self):
+        self.lengths = []
+
+    def write(self, text):
+        self.lengths.append(len(text))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestStreamedReport:
+    def test_choi_report_is_streamed(self, monkeypatch):
+        # A Haar-random isometry of 4 input qubits that keeps one ancilla:
+        # a dense 512 x 512 Choi payload, a 22.8 MB report.
+        u = random_unitary(np.random.default_rng(94), 32)
+        ch = ChannelHandle(Circuit(4, (AddAncilla(), UnitaryGate("umatrix", (0, 1, 2, 3, 4), u))))
+        results = {"matrix": choi_of(ch).matrix}
+        assert results["matrix"].shape == (512, 512)
+        sink = WriteLog()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            _emit("choi", {"path": "c.circuit"}, results)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        total = sum(sink.lengths)
+        assert total > 20_000_000
+        assert max(sink.lengths) <= total / 8
+        assert peak < 3 * total
+
+
+class FailingStdout(WriteLog):
+    """A stdout whose second write fails, as on a full disk."""
+
+    def write(self, text):
+        if len(self.lengths) == 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(text)
+
+
+class TestOutputFailure:
+    def run(self, monkeypatch, args):
+        monkeypatch.setattr(sys, "stdout", FailingStdout())
+        with pytest.raises(SystemExit) as exc:
+            main.main(args=args, prog_name="isolab", standalone_mode=False)
+        return exc.value.code
+
+    def test_failed_write_is_internal(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "c.circuit", NOISY_2Q)
+        assert self.run(monkeypatch, ["choi", path]) == 1
+        assert capsys.readouterr().err == "error: writing the report failed: [Errno 28] No space left on device\n"
+
+    def test_missing_witness_file_is_input_error(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "c.circuit", DEPOLARIZER)
+        assert self.run(monkeypatch, ["protocol", path, "--witness", "file"]) == 2
+        assert capsys.readouterr().err == "error: --witness file needs --witness-file\n"
+
+    def test_unreadable_input_is_input_error(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "c.circuit", DEPOLARIZER)
+        witness = write(tmp_path, "w.txt", "1 0\n0 0\n")
+
+        def failing_open(name, *args, **kwargs):
+            if name == witness:
+                raise OSError(errno.EIO, "Input/output error", name)
+            return open(name, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        assert self.run(monkeypatch, ["protocol", path, "--witness", "file", "--witness-file", witness]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 5] Input/output error: '{witness}'\n"
 
 
 class TestProtocol:
