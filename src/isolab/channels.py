@@ -29,7 +29,6 @@ from .linalg import (
     DensityMatrix,
     PureState,
     _NOISE_FLOOR,
-    maximally_entangled_state,
     top_eigenpair,
     trace_norm,
 )
@@ -50,8 +49,10 @@ NEAR_ISOMETRY_PROBE_FLOOR = 0.5
 
 
 class NotNearIsometryError(ValueError):
-    """Raised when isometry extraction is asked of a channel whose basis
-    probes come out too mixed."""
+    """Raised when isometry extraction, the polar factor of V's leading row
+    (the isometry nearest to it), is asked of a channel too mixed for it: a
+    basis probe's output or the Choi matrix has a top eigenvalue below
+    NEAR_ISOMETRY_PROBE_FLOOR."""
 
 
 @dataclass(eq=False)
@@ -400,15 +401,11 @@ def analyze_channel(
 # Approximate isometry extraction
 # ---------------------------------------------------------------------------
 
-def _basis_probe_states(dim: int) -> list[np.ndarray]:
-    return [np.eye(dim, dtype=complex)[:, i] for i in range(dim)]
-
-
 def _probe_family(ch: ChannelHandle, seed: int, n_random: int):
-    """Pure input probes: computational basis states, equal superpositions
-    of basis pairs, and seeded random states."""
+    """Pure input probes: the d_in computational basis states first, then
+    equal superpositions of basis pairs, and seeded random states."""
     d = ch.dim_in
-    basis = _basis_probe_states(d)
+    basis = np.eye(d, dtype=complex)
     probes = [("basis", v) for v in basis]
     for i in range(d):
         for j in range(i + 1, d):
@@ -442,48 +439,43 @@ class ApproxIsometryDiagnostics:
 def extract_approx_isometry(
     ch: ChannelHandle, seed: int = 0, n_random: int = 50
 ) -> tuple[np.ndarray, ApproxIsometryDiagnostics]:
-    """Recover the isometry a near-isometric channel approximates.
+    """Recover the isometry a near-isometric channel approximates: the
+    polar factor A = U W* of V's leading row V_0 = U S W*, the isometry
+    nearest to V_0 (Higham, SIAM J. Sci. Stat. Comput. 7, 1986).
 
-    Column i is the top eigenvector of the channel output on the i-th
-    basis state; relative phases are fixed against the first column by the
-    top singular pair of the channel action on the |0><i| matrix unit.
+    The channel is refused when the output of a basis probe, or the Choi
+    matrix, has a top eigenvalue below NEAR_ISOMETRY_PROBE_FLOOR. The Choi
+    top is |V_0|_F^2 / d_in, the top of the extended output on the
+    maximally entangled state; it catches channels, dephasers among them,
+    whose unextended basis outputs are pure or sit exactly at the floor.
+    A channel that passes has a Choi top of at least 1/2 in a spectrum
+    that sums to one, so the top is simple, and V_0 fixed up to one
+    phase, everywhere but at the floor itself. Each probe is evaluated
+    once; the basis probes come first in the family.
+
     Diagnostics report the worst trace-norm distance between the channel
-    output and conjugation by the recovered operator over a finite probe
-    family, so they lower-bound the true worst case.
+    output and conjugation by A over a finite probe family, so they
+    lower-bound the true worst case.
     """
     d_in = ch.dim_in
     iso = _isometry(ch)
-    norms, columns, slices, _ = zip(*(_top_output(iso, v) for v in _basis_probe_states(d_in)))
-    # The extended output on the maximally entangled state must also stay
-    # nearly pure; it catches uniform mixers whose unextended basis outputs
-    # sit exactly at the floor.
-    entangled = _top_output(iso, maximally_entangled_state(d_in).amplitudes)[0]
-    floor = min(min(norms), entangled)
+    u, _, wh = np.linalg.svd(iso[0], full_matrices=False)
+    a = u @ wh
+    tops = []
+    dists = {"basis": 0.0, "superposition": 0.0, "random": 0.0}
+    for label, x in _probe_family(ch, seed, n_random):
+        top, _, w, _ = _top_output(iso, x)
+        y = a @ x
+        tops.append(top)
+        dists[label] = max(dists[label], trace_norm(w.T @ w.conj() - np.outer(y, y.conj())))
+    floor = float(min(*tops[:d_in], _row_weights(iso[:1])[0] / d_in))
     if floor < NEAR_ISOMETRY_PROBE_FLOOR:
         raise NotNearIsometryError(
             f"channel is not near-isometric: probe output largest eigenvalue "
-            f"{floor:.4f} < {NEAR_ISOMETRY_PROBE_FLOOR}"
+            f"{floor!r} < {NEAR_ISOMETRY_PROBE_FLOOR}"
         )
-    # The channel's action on |0><i| is F_0 F_i* for the factors F_i = W_i^T
-    # of the basis outputs' slices W_i.
-    phases = [1.0 + 0.0j]
-    for i in range(1, d_in):
-        u, _, vh = np.linalg.svd(slices[0].T @ slices[i].conj())
-        w = np.vdot(columns[0], u[:, 0]) * np.vdot(vh[0].conj(), columns[i])
-        phases.append(np.conj(w) / abs(w) if abs(w) > 1e-12 else 1.0 + 0.0j)
-    a = np.stack([c * col for c, col in zip(phases, columns)], axis=1)
-
-    dists = {"basis": 0.0, "superposition": 0.0, "random": 0.0}
-    worst_opnorm = 1.0
-    for label, v in _probe_family(ch, seed, n_random):
-        proj = np.outer(v, v.conj())
-        top, _, w, _ = _top_output(iso, v)
-        out = w.T @ w.conj()
-        worst_opnorm = min(worst_opnorm, top)
-        dist = trace_norm(out - a @ proj @ a.conj().T)
-        dists[label] = max(dists[label], dist)
     diag = ApproxIsometryDiagnostics(
-        eps_measured=max(0.0, 1.0 - worst_opnorm),
+        eps_measured=max(0.0, 1.0 - min(tops)),
         max_distance=max(dists.values()),
         basis_distance=dists["basis"],
         superposition_distance=dists["superposition"],
@@ -492,4 +484,3 @@ def extract_approx_isometry(
         seed=seed,
     )
     return a, diag
-

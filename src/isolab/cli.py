@@ -22,8 +22,8 @@ from .channels import (
     DimensionCapError,
     _isometry,
     _row_weights,
+    _slices,
     analyze_channel,
-    apply_extended,
     choi_of,
     kraus_of,
     min_output_opnorm,
@@ -230,7 +230,10 @@ def analyze(path, epsilon, restarts, seed):
     """Isometry report: Choi rank, exact test, mixing search, classification."""
     ch = ChannelHandle(_load_circuit(path))
     report = analyze_channel(ch, epsilon, restarts=restarts, seed=seed)
-    metrics = purity_metrics(apply_extended(ch, report.minimizing_state))
+    # The extended output W^T conj(W) on the minimizer has the nonzero
+    # spectrum of the r x r environment Gram matrix conj(W) W^T.
+    w = _slices(_isometry(ch), report.minimizing_state.amplitudes)
+    metrics = purity_metrics(w.conj() @ w.T)
     results = {
         "choi_rank": report.choi_rank,
         "exact_isometry": report.exact_isometry,

@@ -22,16 +22,14 @@ eigenvalues at or below it before it takes square roots, and
 ``channels._isometry`` drops the environment directions at or below it.
 The other cuts and slacks:
 
-* ``channels.extract_approx_isometry`` aligns a column's phase with the
-  first column's only where the overlap that fixes it exceeds 1e-12 in
-  modulus;
 * ``protocol.PROB_FLOOR`` = 1e-12 is the outcome probability below which
   a swap test gives no post-state and the protocol stops after step 1;
 * ``protocol.BOUNDS_SLACK`` = 1e-6 is the slack of both
   ``check_protocol_bounds`` checks;
 * ``reduction.REDUCTION_SLACK`` = 1e-3 is the slack of ``check_reduction``;
 * ``channels.NEAR_ISOMETRY_PROBE_FLOOR`` = 0.5: ``extract_approx_isometry``
-  refuses a channel when a probe output's top eigenvalue falls below it;
+  refuses a channel when the top eigenvalue of a basis probe's output, or
+  of its Choi matrix, falls below it;
 * ``channels.MAX_SEARCH_DIM_IN`` = 16 is the largest input dimension the
   mixing search accepts;
 * ``channels._descend_opnorm`` ends a restart once its backtracked step
@@ -329,10 +327,6 @@ class DensityMatrix:
     def from_pure(cls, state) -> "DensityMatrix":
         state = state if isinstance(state, PureState) else PureState(state)
         return cls.from_factor(state.amplitudes[:, None])
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls.from_factor(np.eye(dim, dtype=complex) / np.sqrt(dim))
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"

@@ -124,6 +124,11 @@ def random_density(rng, dim):
     return DensityMatrix(m / np.trace(m))
 
 
+def maximally_mixed(dim):
+    """The state I / dim, built from its factor."""
+    return DensityMatrix.from_factor(np.eye(dim, dtype=complex) / np.sqrt(dim))
+
+
 def random_unitary(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)

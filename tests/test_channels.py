@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,7 +46,7 @@ from isolab import (
     trace_norm,
 )
 from isolab.channels import _gradient, _isometry, _probe_family, _top_output
-from isolab.circuits import AddAncilla, Circuit, UnitaryGate
+from isolab.circuits import AddAncilla, Circuit, TraceOut, UnitaryGate, cdepolarize_gate
 from isolab.linalg import _NOISE_FLOOR
 
 IDENTITY = "qubits 1\n"
@@ -354,6 +356,29 @@ def depolarized_unitary(n, s, seed, ancillas=0):
     return append_output_depolarizing(Circuit(n, gates), s)
 
 
+def weakly_noisy_isometry(rng):
+    """A random isometry circuit on at most 2 input qubits followed by one
+    or two controlled depolarizations of strength sin^2(theta), theta in
+    [0.05, 0.5], each on one or two output qubits: an ancilla rotated to
+    cos(theta)|0> + sin(theta)|1> controls the mixer and is traced out."""
+    circ = random_circuit(rng, max_in=2, isometry_only=True)
+    n = circ.output_qubits
+    gates = list(circ.gates)
+    for _ in range(int(rng.integers(1, 3))):
+        theta = rng.uniform(0.05, 0.5)
+        c, s = np.cos(theta), np.sin(theta)
+        targets = rng.choice(n, size=int(rng.integers(1, min(n, 2) + 1)), replace=False)
+        rot = UnitaryGate("umatrix", (n,), np.array([[c, -s], [s, c]], dtype=complex))
+        gates += [AddAncilla(), rot, cdepolarize_gate(n, *map(int, targets)), TraceOut(n)]
+    return Circuit(circ.input_qubits, gates)
+
+
+def phase_distance(a, b):
+    """max |a - e^{i theta} b| at the one phase that aligns b with a."""
+    overlap = np.vdot(b, a)
+    return float(np.abs(a - overlap / abs(overlap) * b).max())
+
+
 # (d_in, d_out, Kraus rank): r = 1, r < D = d_out * d_in, and r = D
 SEARCH_SHAPES = [(4, 8, 1), (4, 32, 10), (4, 2, 8)]
 
@@ -641,6 +666,59 @@ class TestExtractApproxIsometry:
             out = density_oracle(ch.circuit, rho.matrix)
             assert trace_norm(out - a @ rho.matrix @ a.conj().T) < 1e-8
 
+    def test_weakly_noisy_isometries(self):
+        # A is an exact isometry however far V_0 is from one, and the probe
+        # distances stay within the protocol's 9 eps.
+        rng = np.random.default_rng(75)
+        for i in range(80):
+            ch = ChannelHandle(weakly_noisy_isometry(rng))
+            a, diag = extract_approx_isometry(ch, seed=i, n_random=20)
+            assert np.abs(a.conj().T @ a - np.eye(ch.dim_in)).max() <= 1e-12
+            assert 0.0 < diag.max_distance <= 9 * diag.eps_measured
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("s", [0.0, 0.01, 0.1, 0.3])
+    def test_output_depolarized_unitary_recovered(self, n, s):
+        # The Choi top eigenvector is U itself, so A is U up to one phase
+        # for all columns.
+        circ = depolarized_unitary(n, s, seed=76 + n)
+        a, _ = extract_approx_isometry(ChannelHandle(circ), seed=0, n_random=5)
+        u = random_unitary(np.random.default_rng(76 + n), 2 ** n)
+        assert phase_distance(a, u) <= 1e-12
+
+    def test_exact_isometries_are_their_own_extraction(self):
+        rng = np.random.default_rng(77)
+        for _ in range(12):
+            ch = ChannelHandle(random_circuit(rng, isometry_only=True))
+            a, diag = extract_approx_isometry(ch, seed=1, n_random=5)
+            assert phase_distance(a, exact_isometry_test(ch).isometry_operator) <= 1e-12
+            assert diag.max_distance <= 1e-12
+
+    @staticmethod
+    def assert_refused(source, floor):
+        with pytest.raises(NotNearIsometryError) as info:
+            extract_approx_isometry(handle(source))
+        printed = re.fullmatch(
+            r"channel is not near-isometric: probe output largest eigenvalue (\S+) < 0\.5",
+            str(info.value),
+        ).group(1)
+        # The floor is printed in full, so it never reads as 0.5 < 0.5.
+        assert printed == repr(float(printed))
+        assert float(printed) < 0.5
+        assert float(printed) == pytest.approx(floor, abs=1e-12)
+
     def test_depolarizer_rejected(self):
-        with pytest.raises(NotNearIsometryError):
-            extract_approx_isometry(handle(DEPOLARIZER))
+        self.assert_refused(DEPOLARIZER, 0.25)
+
+    @pytest.mark.parametrize(
+        "source,floor",
+        [
+            # Pure basis outputs; only the Choi top, 1/4, refuses it.
+            ("qubits 2\nchannel dephase 0\nchannel dephase 1\n", 0.25),
+            # A Choi top of 1/2 that rounds to just below it.
+            ("qubits 2\ngate H 0\nchannel dephase 1\n", 0.5),
+        ],
+        ids=["dephase-both", "dephase-at-floor"],
+    )
+    def test_choi_top_rejected(self, source, floor):
+        self.assert_refused(source, floor)

@@ -685,8 +685,9 @@ class TestOneDecomposition:
         "command,extra",
         [
             # The analyze report adds the purity metrics of the minimizer's
-            # 64 x 64 extended output.
-            (["analyze", "{c}", "--restarts", "2"], [("eigvalsh", (64, 64))]),
+            # extended output, read off the 2 x 2 Gram matrix of its slices
+            # (V has 2 rows) rather than the 64 x 64 output.
+            (["analyze", "{c}", "--restarts", "2"], [("eigvalsh", (2, 2))]),
             (["choi", "{c}"], []),
             (["kraus", "{c}"], []),
             (["reduce", "{v}", "--check", "--restarts", "1", "--output", "{i}"], []),

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    maximally_mixed,
     partial_trace_oracle,
     power_iteration_opnorm,
     random_density,
@@ -235,7 +236,7 @@ class TestFidelity:
 
     def test_mixed_vs_basis_state(self):
         ket0 = DensityMatrix(np.diag([1.0, 0.0]))
-        assert fidelity(DensityMatrix.maximally_mixed(2), ket0) == pytest.approx(
+        assert fidelity(maximally_mixed(2), ket0) == pytest.approx(
             np.sqrt(0.5)
         )
 
@@ -278,7 +279,7 @@ class TestPurityMetrics:
         assert m.tdist_to_pure == pytest.approx(0.0, abs=1e-9)
 
     def test_maximally_mixed_qubit(self):
-        m = purity_metrics(DensityMatrix.maximally_mixed(2))
+        m = purity_metrics(maximally_mixed(2))
         assert (m.purity, m.opnorm, m.tdist_to_pure) == pytest.approx((0.5, 0.5, 1.0))
 
     def test_sandwich(self):
@@ -312,7 +313,7 @@ class TestProjectors:
 
     def test_qubit_antisymmetric_rank_one(self):
         _, p_minus = sym_antisym_projectors(2)
-        got = swap_test(DensityMatrix.maximally_mixed(4)).post_antisymmetric.matrix
+        got = swap_test(maximally_mixed(4)).post_antisymmetric.matrix
         assert np.abs(got - p_minus).max() < 1e-12
         assert np.linalg.matrix_rank(got) == 1
 
@@ -381,7 +382,7 @@ class TestFromFactor:
     def test_skips_full_validation(self, full_validations):
         rng = np.random.default_rng(23)
         DensityMatrix.from_pure(random_pure(rng, 4))
-        DensityMatrix.maximally_mixed(4)
+        maximally_mixed(4)
         random_pure(rng, 4).density()
         assert full_validations == []
 
@@ -407,7 +408,7 @@ class TestDensityMatrixValidation:
             DensityMatrix(np.array([[0.5, 0.1], [0.0, 0.5]]))
 
     def test_immutable(self):
-        rho = DensityMatrix.maximally_mixed(2)
+        rho = maximally_mixed(2)
         with pytest.raises((ValueError, AttributeError)):
             rho.matrix[0, 0] = 5.0
 

@@ -12,6 +12,7 @@ from conftest import (
     circuit_swap_test_probs,
     kraus_dilation,
     kraus_from_choi_oracle,
+    maximally_mixed,
     parallel_extended_output_oracle,
     random_circuit,
     random_density,
@@ -62,7 +63,7 @@ class TestSwapTest:
         assert res.post_antisymmetric is None
 
     def test_two_maximally_mixed_qubits(self):
-        rho = DensityMatrix.maximally_mixed(4)
+        rho = maximally_mixed(4)
         res = swap_test(rho)
         assert res.p_antisymmetric == pytest.approx(0.25, abs=1e-12)
 
@@ -120,7 +121,7 @@ class TestSwapTest:
 
     def test_non_square_bipartition(self):
         with pytest.raises(ValueError, match="non-square bipartition"):
-            swap_test(DensityMatrix.maximally_mixed(6))
+            swap_test(maximally_mixed(6))
 
 
 def purity(rho):
@@ -179,7 +180,7 @@ class TestProtocolExact:
 
     def test_witness_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            run_protocol_exact(handle(DEPOLARIZER), DensityMatrix.maximally_mixed(8))
+            run_protocol_exact(handle(DEPOLARIZER), maximally_mixed(8))
 
     def test_small_symmetric_weight(self):
         # A witness with symmetric weight 1e-9: rounding in the symmetric
