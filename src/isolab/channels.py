@@ -52,7 +52,7 @@ class NotNearIsometryError(ValueError):
     """Raised when isometry extraction, the polar factor of V's leading row
     (the isometry nearest to it), is asked of a channel too mixed for it: a
     basis probe's output or the Choi matrix has a top eigenvalue below
-    NEAR_ISOMETRY_PROBE_FLOOR."""
+    NEAR_ISOMETRY_PROBE_FLOOR, or the Choi top is degenerate."""
 
 
 @dataclass(eq=False)
@@ -448,10 +448,10 @@ def extract_approx_isometry(
     top is |V_0|_F^2 / d_in, the top of the extended output on the
     maximally entangled state; it catches channels, dephasers among them,
     whose unextended basis outputs are pure or sit exactly at the floor.
-    A channel that passes has a Choi top of at least 1/2 in a spectrum
-    that sums to one, so the top is simple, and V_0 fixed up to one
-    phase, everywhere but at the floor itself. Each probe is evaluated
-    once; the basis probes come first in the family.
+    A Choi top of at least 1/2 in a spectrum that sums to one is simple,
+    and V_0 fixed up to one phase, but at the floor itself, where it can be
+    two-fold degenerate; so a top within rounding of the next is refused.
+    Each probe is evaluated once; the basis probes come first.
 
     Diagnostics report the worst trace-norm distance between the channel
     output and conjugation by A over a finite probe family, so they
@@ -468,11 +468,18 @@ def extract_approx_isometry(
         y = a @ x
         tops.append(top)
         dists[label] = max(dists[label], trace_norm(w.T @ w.conj() - np.outer(y, y.conj())))
-    floor = float(min(*tops[:d_in], _row_weights(iso[:1])[0] / d_in))
+    choi = (_row_weights(iso[:2]) / d_in).tolist()
+    floor = min(*tops[:d_in], choi[0])
     if floor < NEAR_ISOMETRY_PROBE_FLOOR:
         raise NotNearIsometryError(
             f"channel is not near-isometric: probe output largest eigenvalue "
             f"{floor!r} < {NEAR_ISOMETRY_PROBE_FLOOR}"
+        )
+    # One eigh fixes this spectrum only to within rounding of its largest
+    # value: the noise floor at which _isometry cuts it.
+    if len(choi) > 1 and choi[0] - choi[1] <= _NOISE_FLOOR * choi[0]:
+        raise NotNearIsometryError(
+            f"channel is not near-isometric: Choi top eigenvalue {choi[0]!r} is degenerate"
         )
     diag = ApproxIsometryDiagnostics(
         eps_measured=max(0.0, 1.0 - min(tops)),

@@ -22,8 +22,8 @@ from .channels import (
     DimensionCapError,
     _isometry,
     _row_weights,
-    _slices,
     analyze_channel,
+    apply_extended,
     choi_of,
     kraus_of,
     min_output_opnorm,
@@ -230,10 +230,7 @@ def analyze(path, epsilon, restarts, seed):
     """Isometry report: Choi rank, exact test, mixing search, classification."""
     ch = ChannelHandle(_load_circuit(path))
     report = analyze_channel(ch, epsilon, restarts=restarts, seed=seed)
-    # The extended output W^T conj(W) on the minimizer has the nonzero
-    # spectrum of the r x r environment Gram matrix conj(W) W^T.
-    w = _slices(_isometry(ch), report.minimizing_state.amplitudes)
-    metrics = purity_metrics(w.conj() @ w.T)
+    metrics = purity_metrics(apply_extended(ch, report.minimizing_state))
     results = {
         "choi_rank": report.choi_rank,
         "exact_isometry": report.exact_isometry,
@@ -317,6 +314,10 @@ def protocol(path, witness_kind, witness_file, psi_kind, psi_file, shots, restar
     """Run the two-swap-test protocol on a witness, exactly and sampled."""
     if shots < 0:
         raise ValueError(f"--shots must be 0 (exact) or positive, got {shots}")
+    if witness_file is not None and witness_kind != "file":
+        raise ValueError("--witness-file needs --witness file")
+    if psi_file is not None and psi_kind != "file":
+        raise ValueError("--psi-file needs --psi file")
     ch = ChannelHandle(_load_circuit(path))
     if witness_kind == "file":
         if witness_file is None:

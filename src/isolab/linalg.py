@@ -5,8 +5,7 @@ Conventions used across the package:
 * matrices are dense row-major numpy arrays of complex dtype;
 * tensor factor 0 is the leftmost slot, so ``|ij> = |i> (x) |j>`` lives at
   index ``i * d_j + j``;
-* Hermitian spectra come from ``eigh``; general operators fall back to an
-  SVD.
+* Hermitian spectra come from ``eigh``, norms from an SVD.
 
 Tolerance policy: structural invariants (Hermiticity, trace, norms,
 unitarity, Kraus completeness, the isometry condition) are checked at
@@ -17,9 +16,9 @@ squared-gradient floor 1e-20, Armijo constant 1e-4, 400 steps and a
 quasi-Newton memory of 8. A warm-started top eigenpair must reach a
 residual of ``RITZ_TOL`` = 1e-12 relative to the Frobenius norm before it
 stands in for ``eigh``. The eigh noise floor ``_NOISE_FLOOR`` is 64
-machine epsilons of the largest eigenvalue: ``_psd_sqrt`` zeroes the
-eigenvalues at or below it before it takes square roots, and
-``channels._isometry`` drops the environment directions at or below it.
+machine epsilons of the largest eigenvalue: the ``DensityMatrix``
+constructor drops the eigenpairs at or below it from the factor it keeps,
+and ``channels._isometry`` drops the environment directions at or below it.
 The other cuts and slacks:
 
 * ``protocol.PROB_FLOOR`` = 1e-12 is the outcome probability below which
@@ -29,7 +28,8 @@ The other cuts and slacks:
 * ``reduction.REDUCTION_SLACK`` = 1e-3 is the slack of ``check_reduction``;
 * ``channels.NEAR_ISOMETRY_PROBE_FLOOR`` = 0.5: ``extract_approx_isometry``
   refuses a channel when the top eigenvalue of a basis probe's output, or
-  of its Choi matrix, falls below it;
+  of its Choi matrix, falls below it, and when the Choi top is degenerate
+  to within ``_NOISE_FLOOR`` of it;
 * ``channels.MAX_SEARCH_DIM_IN`` = 16 is the largest input dimension the
   mixing search accepts;
 * ``channels._descend_opnorm`` ends a restart once its backtracked step
@@ -68,57 +68,45 @@ def as_matrix(x) -> np.ndarray:
     return m
 
 
-def is_hermitian(m) -> bool:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return float(np.abs(m - m.conj().T).max()) <= TOL
-
-
 def operator_norm(m) -> float:
-    """Largest singular value; for Hermitian input the largest |eigenvalue|."""
+    """Largest singular value."""
     m = as_matrix(m)
     if m.size == 0:
         return 0.0
-    if is_hermitian(m):
-        return float(np.abs(np.linalg.eigvalsh(m)).max())
     return float(np.linalg.svd(m, compute_uv=False).max())
 
 
 def trace_norm(m) -> float:
-    """Sum of singular values; for Hermitian input the sum of |eigenvalues|."""
+    """Sum of singular values."""
     m = as_matrix(m)
     if m.size == 0:
         return 0.0
-    if is_hermitian(m):
-        return float(np.abs(np.linalg.eigvalsh(m)).sum())
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    # Eigenvalues at the eigh noise floor are zeroed: the square root would
-    # otherwise blow 1e-17 rounding up to 1e-8-scale entries.
-    w, v = np.linalg.eigh(m)
-    cut = _NOISE_FLOOR * max(float(w[-1]), 0.0)
-    w = np.where(w > cut, w, 0.0)
-    return (v * np.sqrt(w)) @ v.conj().T
+def _clamp01(x: float) -> float:
+    return min(max(x, 0.0), 1.0)
+
+
+def _as_density(x) -> "DensityMatrix":
+    """*x* as a DensityMatrix; an array is validated in full."""
+    return x if isinstance(x, DensityMatrix) else DensityMatrix(x)
 
 
 def fidelity(rho, sigma) -> float:
     """Root fidelity of two states: trace of sqrt(sqrt(rho) sigma sqrt(rho)),
-    evaluated as the sum of singular values of sqrt(rho) sqrt(sigma), which
-    is the same quantity and numerically stable near rank deficiency.
+    evaluated as the sum of singular values of A* B for the factors
+    rho = A A* and sigma = B B*, which is the same quantity and
+    numerically stable near rank deficiency. An array is validated in full.
 
     Symmetric in its arguments; when one argument is a pure state
     projector this reduces to the square root of the overlap.
     """
-    a = as_matrix(rho)
-    b = as_matrix(sigma)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    prod = _psd_sqrt(a) @ _psd_sqrt(b)
-    f = float(np.linalg.svd(prod, compute_uv=False).sum())
-    return min(max(f, 0.0), 1.0)
+    a = _as_density(rho)
+    b = _as_density(sigma)
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    return _clamp01(float(np.linalg.svd(a.factor.conj().T @ b.factor, compute_uv=False).sum()))
 
 
 def top_eigenpair(m, start=None, return_certified=False) -> tuple:
@@ -212,13 +200,15 @@ class PurityMetrics:
 
 def purity_metrics(rho) -> PurityMetrics:
     """Purity, largest eigenvalue, and trace distance to the closest pure
-    state. The closest pure state is the top eigenvector, which gives the
-    closed form ``tdist_to_pure = 2 (1 - opnorm)``."""
-    m = as_matrix(rho)
-    w = np.linalg.eigvalsh(m)
-    top = float(w[-1])
+    state, read off the nonzero spectrum of rho = F F*, that of F* F; an
+    array is validated in full. The closest pure state is the top
+    eigenvector, which gives the closed form ``tdist_to_pure = 2 (1 -
+    opnorm)``. Both eigenvalue sums are clamped to [0, 1] against rounding."""
+    f = _as_density(rho).factor
+    w = np.linalg.eigvalsh(f.conj().T @ f)
+    top = _clamp01(float(w[-1]))
     return PurityMetrics(
-        purity=float((w * w).sum()),
+        purity=_clamp01(float((w * w).sum())),
         opnorm=top,
         tdist_to_pure=2.0 * (1.0 - top),
     )
@@ -269,15 +259,17 @@ class PureState:
 
 
 class DensityMatrix:
-    """Density matrix: Hermitian, positive semidefinite, unit trace, stored
-    frozen. There are two ways in. The constructor validates a matrix from
-    outside the program in full: it symmetrizes the input, clamps
-    eigenvalues in ``[-1e-9, 0)`` to zero and renormalizes the trace;
-    larger violations are rejected. ``from_factor`` builds F F* from a
-    factor F, positive semidefinite by construction, and checks the trace.
+    """Density matrix rho = F F*, stored frozen as its factor F, one row per
+    basis state; ``matrix`` forms F F* when read. There are two ways in.
+    The constructor validates a matrix from outside the program in full:
+    it symmetrizes the input, clamps eigenvalues in ``[-1e-9, 0)`` to zero,
+    renormalizes the trace and keeps v sqrt(w) for the eigenpairs (w, v)
+    above ``_NOISE_FLOOR``; larger violations are rejected. ``from_factor``
+    keeps a factor, positive semidefinite by construction, once its trace
+    is checked.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("factor",)
 
     def __init__(self, matrix):
         m = np.asarray(as_matrix(matrix), dtype=complex)
@@ -296,31 +288,38 @@ class DensityMatrix:
         tr = float(w.sum())
         if abs(tr - 1.0) > TOL:
             raise ValueError(f"density matrix trace {tr!r} is not 1")
-        m = (v * (w / tr)) @ v.conj().T
-        m = (m + m.conj().T) / 2.0
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        # A square root would blow 1e-17 rounding up to 3e-9-scale columns.
+        keep = w > _NOISE_FLOOR * float(w[-1])
+        f = v[:, keep] * np.sqrt(w[keep] / tr)
+        f.setflags(write=False)
+        object.__setattr__(self, "factor", f)
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.factor.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """F F*, formed anew on each read, read-only."""
+        m = self.factor @ self.factor.conj().T
+        m.setflags(write=False)
+        return m
 
     @classmethod
     def from_factor(cls, f) -> "DensityMatrix":
-        """F F* / |F|_F^2 for a factor F with one row per basis state; the
-        squared norm |F|_F^2 = tr F F* must be within TOL of one."""
+        """The state F F* / |F|_F^2, kept as F / |F|_F; the squared norm
+        |F|_F^2 = tr F F* must be within TOL of one."""
         f = np.asarray(f, dtype=complex)
         tr = float(np.vdot(f, f).real)
         if not abs(tr - 1.0) <= TOL:
             raise ValueError(f"density matrix trace {tr!r} is not 1")
         f = f / np.sqrt(tr)
-        m = f @ f.conj().T
-        m.setflags(write=False)
+        f.setflags(write=False)
         rho = object.__new__(cls)
-        object.__setattr__(rho, "matrix", m)
+        object.__setattr__(rho, "factor", f)
         return rho
 
     @classmethod

@@ -30,7 +30,7 @@ from .channels import (
     min_output_opnorm,
     probe_epsilon,
 )
-from .linalg import TOL, DensityMatrix, PureState, as_matrix
+from .linalg import TOL, DensityMatrix, PureState, _as_density, _clamp01, as_matrix
 
 PROB_FLOOR = 1e-12
 # Slack of both checks in check_protocol_bounds: the acceptance floor and
@@ -46,44 +46,32 @@ class SwapTestResult:
     post_antisymmetric: DensityMatrix | None
 
 
-def _clamp01(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
-
-
-def _swap_probabilities(m: np.ndarray, d: int) -> tuple[float, float]:
-    """Symmetric and antisymmetric outcome probabilities of the swap test on
-    the matrix *m* of two *d*-dimensional factors: (tr m +/- tr(W m))/2."""
-    tr_m = float(np.real(np.trace(m)))
-    tr_w_m = float(np.real(np.einsum("abba->", m.reshape(d, d, d, d))))
-    return _clamp01((tr_m + tr_w_m) / 2.0), _clamp01((tr_m - tr_w_m) / 2.0)
+def _symmetrize(f: np.ndarray, d: int, sign: float) -> np.ndarray:
+    """P F for the factor F and P = (I + sign W)/2, W the swap of two
+    *d*-dimensional factors."""
+    f = f.reshape(d, d, -1)
+    return ((f + sign * f.transpose(1, 0, 2)) / 2.0).reshape(d * d, -1)
 
 
 def swap_test(rho) -> SwapTestResult:
     """Two-outcome measurement with projectors P = (I +/- W)/2 on a bipartite
     state with equal factor dimensions; an array is validated in full.
 
-    Post-measurement states are the renormalized projections (P F)(P F)*
-    of rho = F F*, positive semidefinite however small the outcome
-    probability; they are None when it is below 1e-12. On a two-copy input
-    sigma (x) sigma the antisymmetric probability is (1 - tr(sigma^2))/2.
+    On rho = F F* an outcome has probability |P F|_F^2, and its
+    post-state is the renormalized projection (P F)(P F)*, positive
+    semidefinite however small the probability; it is None when the
+    probability is below 1e-12. On a two-copy input sigma (x) sigma the
+    antisymmetric probability is (1 - tr(sigma^2))/2.
     """
-    m = as_matrix(rho)
-    total = m.shape[0]
-    d = isqrt(total)
-    if d * d != total or m.shape[0] != m.shape[1]:
+    dm = _as_density(rho)
+    d = isqrt(dm.dim)
+    if d * d != dm.dim:
         raise ValueError("non-square bipartition: matrix dimension is not d*d")
-    m = rho.matrix if isinstance(rho, DensityMatrix) else DensityMatrix(m).matrix
-    p_sym, p_anti = _swap_probabilities(m, d)
-    w, v = np.linalg.eigh(m)
-    f = (v * np.sqrt(np.clip(w, 0.0, None))).reshape(d, d, total)
-
-    def _post(sign: float, p: float) -> DensityMatrix | None:
-        if p < PROB_FLOOR:
-            return None
-        pf = (f + sign * f.transpose(1, 0, 2)).reshape(total, total)
-        return DensityMatrix.from_factor(pf / np.linalg.norm(pf))
-
-    return SwapTestResult(p_sym, p_anti, _post(1.0, p_sym), _post(-1.0, p_anti))
+    pfs = [_symmetrize(dm.factor, d, sign) for sign in (1.0, -1.0)]
+    ps = [_clamp01(float(np.vdot(pf, pf).real)) for pf in pfs]
+    posts = [None if p < PROB_FLOOR else DensityMatrix.from_factor(pf / np.linalg.norm(pf))
+             for p, pf in zip(ps, pfs)]
+    return SwapTestResult(*ps, *posts)
 
 
 @dataclass
@@ -129,13 +117,13 @@ def _coerce_witness(ch: ChannelHandle, witness) -> DensityMatrix:
     """The witness as a density matrix. An array is validated in full only
     after the protocol cap and its shape are checked."""
     _check_protocol_cap(ch)
-    m = as_matrix(witness)
+    shape = (witness.dim,) * 2 if isinstance(witness, DensityMatrix) else as_matrix(witness).shape
     needed = ch.dim_in ** 4
-    if m.shape != (needed, needed):
+    if shape != (needed, needed):
         raise ValueError(
-            f"dimension mismatch: witness needs dim {needed}, got {m.shape[0]}x{m.shape[1]}"
+            f"dimension mismatch: witness needs dim {needed}, got {shape[0]}x{shape[1]}"
         )
-    return witness if isinstance(witness, DensityMatrix) else DensityMatrix(m)
+    return _as_density(witness)
 
 
 def _swap_observable(ch: ChannelHandle) -> np.ndarray:
@@ -187,22 +175,24 @@ def run_protocol_exact(ch: ChannelHandle, witness) -> ProtocolResult:
     <W_out> read off the pulled-back swap T.
     """
     dm = _coerce_witness(ch, witness)
-    d_in = ch.dim_in
-    p1, _ = _swap_probabilities(dm.matrix, d_in * d_in)
+    d, d2 = ch.dim_in, ch.dim_in ** 2
+    t = _pulled_back_swap(ch).reshape(d2, d2)
+    # With P F the projection of the witness's factor onto the symmetric
+    # subspace of the copy swap, p1 = |P F|^2 and <W_out> = <PF, X PF> /
+    # p1 for X = T (x) W_ref: (X w)[a, r, b, s] = sum T[a, b, c, e]
+    # w[c, s, e, r] over axes (a r b s) of input (x) reference per copy.
+    # Scored d2 columns at a time, so no array as large as F is formed.
+    weight = w_out = 0.0
+    for j in range(0, dm.factor.shape[1], d2):
+        pf = _symmetrize(dm.factor[:, j:j + d2], d2, 1.0)
+        weight += float(np.vdot(pf, pf).real)
+        y = pf.reshape(d, d, d, d, -1).transpose(0, 2, 1, 3, 4)
+        xy = (t @ y.reshape(d2, -1)).reshape(d, d, d, d, -1).transpose(0, 1, 3, 2, 4)
+        w_out += float(np.vdot(y, xy).real)
+    p1 = _clamp01(weight)
     if p1 < PROB_FLOOR:
         return ProtocolResult(p1, 0.0, 0.0)
-    t = _pulled_back_swap(ch)
-    # <W_out> on the step-1 block P rho P, P = (I + W)/2 for the copy swap
-    # W, over the block's trace (tr rho + tr W rho)/2, which is p1 before
-    # clamping. X = T (x) W_ref commutes with W, so tr(X P rho P) =
-    # (tr(X rho) + tr(X W rho))/2 and the block is never formed. Axes of
-    # rho: (a r b s | a' r' b' s'); the reference swap pairs r with s' and
-    # s with r', and W rho reads rho with the row copies exchanged.
-    view = dm.matrix.reshape((d_in,) * 8)
-    w_out = np.einsum("abcd,csdrarbs->", t, view) + np.einsum("abcd,drcsarbs->", t, view)
-    d2 = d_in * d_in
-    block_trace = np.trace(dm.matrix) + np.einsum("abba->", dm.matrix.reshape(d2, d2, d2, d2))
-    p3 = _clamp01((1.0 - float(w_out.real) / float(block_trace.real)) / 2.0)
+    p3 = _clamp01((1.0 - w_out / weight) / 2.0)
     return ProtocolResult(p1, p3, p1 * p3)
 
 

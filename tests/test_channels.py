@@ -717,8 +717,17 @@ class TestExtractApproxIsometry:
             ("qubits 2\nchannel dephase 0\nchannel dephase 1\n", 0.25),
             # A Choi top of 1/2 that rounds to just below it.
             ("qubits 2\ngate H 0\nchannel dephase 1\n", 0.5),
+            # A Choi top of exactly 1/2, two-fold degenerate: V's leading
+            # row, and with it A, is any vector of that eigenspace.
+            ("qubits 1\nchannel dephase 0\n", None),
+            ("qubits 2\nchannel dephase 1\n", None),
         ],
-        ids=["dephase-both", "dephase-at-floor"],
+        ids=["dephase-both", "dephase-at-floor", "dephase-1q-degenerate", "dephase-2q-degenerate"],
     )
     def test_choi_top_rejected(self, source, floor):
-        self.assert_refused(source, floor)
+        if floor is not None:
+            self.assert_refused(source, floor)
+            return
+        message = r"^channel is not near-isometric: Choi top eigenvalue 0\.5 is degenerate$"
+        with pytest.raises(NotNearIsometryError, match=message):
+            extract_approx_isometry(handle(source))

@@ -587,6 +587,22 @@ class TestProtocol:
         assert res.exit_code == 2
         assert "--shots" in res.output
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            # The honest search would run and the witness be ignored.
+            (["--witness-file", "{f}"], "--witness-file needs --witness file"),
+            (["--psi-file", "{f}"], "--psi-file needs --psi file"),
+        ],
+        ids=["witness-file", "psi-file"],
+    )
+    def test_stray_file_is_input_error(self, runner, tmp_path, flags, message):
+        path = write(tmp_path, "c.circuit", DEPOLARIZER)
+        stray = write(tmp_path, "stray.txt", "1+0i 0+0i\n0+0i 0+0i\n")
+        res = runner.invoke(main, ["protocol", path, *(f.format(f=stray) for f in flags)])
+        assert res.exit_code == 2
+        assert res.output == f"error: {message}\n"
+
     def test_shots_deterministic(self, runner, tmp_path):
         path = write(tmp_path, "c.circuit", DEPOLARIZER)
         args = ["protocol", path, "--shots", "2000", "--seed", "9"]

@@ -7,6 +7,7 @@ from conftest import (
     maximally_mixed,
     partial_trace_oracle,
     power_iteration_opnorm,
+    random_circuit,
     random_density,
     random_hermitian,
     random_pure,
@@ -16,16 +17,18 @@ from conftest import (
     tensor_oracle,
 )
 from isolab import (
+    ChannelHandle,
     DensityMatrix,
     PureState,
+    apply_extended,
     fidelity,
+    min_output_opnorm,
     operator_norm,
     purity_metrics,
     swap_test,
     top_eigenpair,
     trace_norm,
 )
-from isolab.protocol import _swap_probabilities
 
 
 class TestTensor:
@@ -306,6 +309,18 @@ class TestPurityMetrics:
                 eps = trace_norm(rho.matrix - psi.projector())
                 assert m.opnorm >= 1 - eps / 2 - 1e-9
 
+    def test_rank_one_minimizer_clamped(self):
+        # An isometry's extended outputs are pure, so the one-entry Gram
+        # matrix of the minimizer's output reads 1 only to rounding.
+        rng = np.random.default_rng(24)
+        for _ in range(40):
+            ch = ChannelHandle(random_circuit(rng, isometry_only=True))
+            _, psi = min_output_opnorm(ch, restarts=1, seed=0)
+            m = purity_metrics(apply_extended(ch, psi))
+            assert m.tdist_to_pure >= 0.0
+            assert m.purity <= 1.0
+            assert m.tdist_to_pure == pytest.approx(0.0, abs=1e-12)
+
 
 class TestProjectors:
     """The protocol's matrix-free swap test against the explicit swap
@@ -319,7 +334,8 @@ class TestProjectors:
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_subspace_dimensions(self, dim):
-        p_sym, p_anti = _swap_probabilities(np.eye(dim * dim, dtype=complex) / dim ** 2, dim)
+        res = swap_test(maximally_mixed(dim * dim))
+        p_sym, p_anti = res.p_symmetric, res.p_antisymmetric
         assert p_sym * dim ** 2 == pytest.approx(dim * (dim + 1) // 2, abs=1e-12)
         assert p_anti * dim ** 2 == pytest.approx(dim * (dim - 1) // 2, abs=1e-12)
 
@@ -329,10 +345,10 @@ class TestProjectors:
         rng = np.random.default_rng(20 + dim)
         dd = dim * dim
         rho = random_density(rng, dd).matrix
-        p_sym, p_anti = _swap_probabilities(rho, dim)
+        res = swap_test(rho)
+        p_sym, p_anti = res.p_symmetric, res.p_antisymmetric
         assert p_sym == pytest.approx(float(np.real(np.trace(p_plus @ rho))), abs=1e-12)
         assert p_anti == pytest.approx(float(np.real(np.trace(p_minus @ rho))), abs=1e-12)
-        res = swap_test(rho)
         for post, proj, p in ((res.post_symmetric, p_plus, p_sym), (res.post_antisymmetric, p_minus, p_anti)):
             assert np.abs(post.matrix - proj @ rho @ proj / p).max() < 1e-12
             assert np.abs(proj @ post.matrix @ proj - post.matrix).max() < 1e-12
@@ -344,7 +360,7 @@ class TestProjectors:
         b = random_pure(rng, 3).amplitudes
         assert np.abs(w @ np.kron(a, b) - np.kron(b, a)).max() < 1e-12
         ab = np.outer(np.kron(a, b), np.kron(a, b).conj())
-        assert _swap_probabilities(ab, 3)[1] == pytest.approx(
+        assert swap_test(ab).p_antisymmetric == pytest.approx(
             (1 - abs(np.vdot(a, b)) ** 2) / 2, abs=1e-12
         )
 
@@ -406,6 +422,16 @@ class TestDensityMatrixValidation:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(np.array([[0.5, 0.1], [0.0, 0.5]]))
+
+    def test_near_pure_array_has_one_column_factor(self):
+        # The projector's other eigenvalues are eigh rounding, below the
+        # noise floor, so they add no column.
+        rng = np.random.default_rng(26)
+        for dim in (2, 4, 16, 64):
+            psi = random_pure(rng, dim)
+            rho = DensityMatrix(psi.projector())
+            assert rho.factor.shape == (dim, 1)
+            assert abs(np.vdot(psi.amplitudes, rho.factor[:, 0])) == pytest.approx(1.0, abs=1e-12)
 
     def test_immutable(self):
         rho = maximally_mixed(2)

@@ -18,6 +18,7 @@ from conftest import (
     random_density,
     random_kraus,
     random_pure,
+    random_unitary,
     swap_operator,
     sym_antisym_projectors,
 )
@@ -29,6 +30,7 @@ from isolab import (
     DensityMatrix,
     PureState,
     TraceOut,
+    UnitaryGate,
     append_output_depolarizing,
     apply_extended,
     check_protocol_bounds,
@@ -42,6 +44,7 @@ from isolab import (
     swap_test,
     symmetric_witness_family,
 )
+from isolab.channels import _isometry, _top_output
 from isolab.protocol import _swap_observable
 
 DEPOLARIZER = "qubits 1\nchannel depolarize 0\n"
@@ -346,6 +349,27 @@ class TestParallelExtendedOutput:
             tracemalloc.stop()
         assert 0.0 < res.p_accept < 0.5
         assert peak < (ch.dim_out * ch.dim_in) ** 4 * 16
+
+    def test_honest_protocol_at_three_input_qubits(self):
+        # A two-copy witness matrix would be 4096 x 4096, 256 MiB; the
+        # honest witness's factor is one column of 4096 entries.
+        rng = np.random.default_rng(34)
+        body = Circuit(3, [UnitaryGate("umatrix", range(3), random_unitary(rng, 8))])
+        ch = ChannelHandle(append_output_depolarizing(body, 0.3))
+        psi = random_pure(rng, 64)
+        tracemalloc.start()
+        try:
+            res = run_protocol_exact(ch, honest_witness(ch, psi))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        # On sigma (x) sigma the step-3 antisymmetric probability is
+        # (1 - tr sigma^2)/2, and tr sigma^2 = |G|_F^2 for the Gram matrix G.
+        w = _top_output(_isometry(ch), psi.amplitudes)[2]
+        g = w.conj() @ w.T
+        assert res.p_step1_symmetric == pytest.approx(1.0, abs=1e-12)
+        assert res.p_accept == pytest.approx((1.0 - np.vdot(g, g).real) / 2.0, abs=1e-12)
 
     def test_mixed_witness_scored_without_a_second_block(self):
         # At 2 input qubits a witness is 256 x 256, 1 MiB; its projection
