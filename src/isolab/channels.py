@@ -14,6 +14,7 @@ reference-extended channel. The reference space always has the dimension
 of the input space, which suffices for the rank criterion.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,7 +135,7 @@ def _top_output(v: np.ndarray, x: np.ndarray, start=None):
 def _check_cap(ch: ChannelHandle) -> None:
     cap = max_total_dim()
     peak = max(ch.circuit.qubit_counts())
-    if ch.dim_out * ch.dim_in > cap or 2 ** (peak + ch.n_in) > cap:
+    if 2 ** (peak + ch.n_in) > cap:
         raise DimensionCapError(
             f"total dimension exceeds the cap of {cap} (set ISOLAB_MAX_DIM to override)"
         )
@@ -258,12 +259,8 @@ def _descend_opnorm(iso: np.ndarray, psi: np.ndarray):
     certificate; the rest of the restart runs eigh. The value returned is
     evaluated cold, by eigh, at the final input."""
     x = psi.view(float)
-    n = x.size
-    s_mem = np.empty((SEARCH_MEMORY, n))
-    y_mem = np.empty((SEARCH_MEMORY, n))
-    rho = np.empty(SEARCH_MEMORY)
-    alpha = np.empty(SEARCH_MEMORY)
-    stored = newest = 0
+    # The pairs as (s, y, 1 / s.y), newest last.
+    pairs = deque(maxlen=SEARCH_MEMORY)
     f, v, w, u = _top_output(iso, psi)
     g = _tangent_gradient(iso, x, w, v)
     for _ in range(SEARCH_MAX_ITER):
@@ -271,19 +268,21 @@ def _descend_opnorm(iso: np.ndarray, psi: np.ndarray):
         if gn2 < SEARCH_GRAD_FLOOR:
             break
         d = -g
-        ring = [(newest - i) % SEARCH_MEMORY for i in range(stored)]
-        for k in ring:
-            alpha[k] = rho[k] * (s_mem[k] @ d)
-            d -= alpha[k] * y_mem[k]
-        if stored:
-            d *= 1.0 / (rho[newest] * (y_mem[newest] @ y_mem[newest]))
-        for k in reversed(ring):
-            d += (alpha[k] - rho[k] * (y_mem[k] @ d)) * s_mem[k]
+        alphas = []
+        for s_k, y_k, rho_k in reversed(pairs):
+            alphas.append(rho_k * (s_k @ d))
+            d -= alphas[-1] * y_k
+        if pairs:
+            _, y_k, rho_k = pairs[-1]
+            d *= 1.0 / (rho_k * (y_k @ y_k))
+        for (s_k, y_k, rho_k), a_k in zip(pairs, reversed(alphas)):
+            d += (a_k - rho_k * (y_k @ d)) * s_k
         d -= (x @ d) * x
         slope = float(g @ d)
-        if not (stored and slope < 0.0):
+        if not (pairs and slope < 0.0):
             gn = np.sqrt(gn2)
-            d, slope, stored = -g / gn, -gn, 0
+            d, slope = -g / gn, -gn
+            pairs.clear()
         step = 1.0
         improved = False
         while step > 1e-16:
@@ -304,9 +303,7 @@ def _descend_opnorm(iso: np.ndarray, psi: np.ndarray):
         y_k = g_new - (g - (cand @ g) * cand)
         sy = float(s_k @ y_k)
         if sy > 0.0:
-            newest = (newest + 1) % SEARCH_MEMORY
-            s_mem[newest], y_mem[newest], rho[newest] = s_k, y_k, 1.0 / sy
-            stored = min(stored + 1, SEARCH_MEMORY)
+            pairs.append((s_k, y_k, 1.0 / sy))
         gain = f - f_new
         x, f, v, w, g = cand, f_new, v_new, w_new, g_new
         if u is not None:
@@ -358,11 +355,9 @@ def min_output_opnorm(
 class IsometryReport:
     choi_rank: int
     exact_isometry: bool
-    isometry_operator: np.ndarray | None
     min_output_opnorm: float
     minimizing_state: PureState
     classification: str
-    epsilon: float
 
 
 def analyze_channel(
@@ -389,11 +384,9 @@ def analyze_channel(
     return IsometryReport(
         choi_rank=iso.choi_rank,
         exact_isometry=iso.exact_isometry,
-        isometry_operator=iso.isometry_operator,
         min_output_opnorm=val,
         minimizing_state=psi,
         classification=classification,
-        epsilon=epsilon,
     )
 
 
@@ -406,13 +399,13 @@ def _probe_family(ch: ChannelHandle, seed: int, n_random: int):
     equal superpositions of basis pairs, and seeded random states."""
     d = ch.dim_in
     basis = np.eye(d, dtype=complex)
-    probes = [("basis", v) for v in basis]
+    probes = list(basis)
     for i in range(d):
         for j in range(i + 1, d):
-            probes.append(("superposition", (basis[i] + basis[j]) / np.sqrt(2.0)))
+            probes.append((basis[i] + basis[j]) / np.sqrt(2.0))
     rng = np.random.default_rng(seed)
     for _ in range(n_random):
-        probes.append(("random", _random_unit(rng, d)))
+        probes.append(_random_unit(rng, d))
     return probes
 
 
@@ -421,7 +414,7 @@ def probe_epsilon(ch: ChannelHandle, seed: int = 0, n_random: int = 50) -> float
     eigenvalue over the finite probe family; a lower bound on the true
     worst-case defect."""
     iso = _isometry(ch)
-    worst = min(_top_output(iso, v)[0] for _, v in _probe_family(ch, seed, n_random))
+    worst = min(_top_output(iso, v)[0] for v in _probe_family(ch, seed, n_random))
     return max(0.0, 1.0 - worst)
 
 
@@ -429,11 +422,6 @@ def probe_epsilon(ch: ChannelHandle, seed: int = 0, n_random: int = 50) -> float
 class ApproxIsometryDiagnostics:
     eps_measured: float
     max_distance: float
-    basis_distance: float
-    superposition_distance: float
-    random_distance: float
-    n_random_probes: int
-    seed: int
 
 
 def extract_approx_isometry(
@@ -462,12 +450,12 @@ def extract_approx_isometry(
     u, _, wh = np.linalg.svd(iso[0], full_matrices=False)
     a = u @ wh
     tops = []
-    dists = {"basis": 0.0, "superposition": 0.0, "random": 0.0}
-    for label, x in _probe_family(ch, seed, n_random):
+    dist = 0.0
+    for x in _probe_family(ch, seed, n_random):
         top, _, w, _ = _top_output(iso, x)
         y = a @ x
         tops.append(top)
-        dists[label] = max(dists[label], trace_norm(w.T @ w.conj() - np.outer(y, y.conj())))
+        dist = max(dist, trace_norm(w.T @ w.conj() - np.outer(y, y.conj())))
     choi = (_row_weights(iso[:2]) / d_in).tolist()
     floor = min(*tops[:d_in], choi[0])
     if floor < NEAR_ISOMETRY_PROBE_FLOOR:
@@ -481,13 +469,4 @@ def extract_approx_isometry(
         raise NotNearIsometryError(
             f"channel is not near-isometric: Choi top eigenvalue {choi[0]!r} is degenerate"
         )
-    diag = ApproxIsometryDiagnostics(
-        eps_measured=max(0.0, 1.0 - min(tops)),
-        max_distance=max(dists.values()),
-        basis_distance=dists["basis"],
-        superposition_distance=dists["superposition"],
-        random_distance=dists["random"],
-        n_random_probes=n_random,
-        seed=seed,
-    )
-    return a, diag
+    return a, ApproxIsometryDiagnostics(eps_measured=max(0.0, 1.0 - min(tops)), max_distance=dist)

@@ -312,12 +312,15 @@ def kraus(path):
 @_guarded
 def protocol(path, witness_kind, witness_file, psi_kind, psi_file, shots, restarts, seed):
     """Run the two-swap-test protocol on a witness, exactly and sampled."""
-    if shots < 0:
-        raise ValueError(f"--shots must be 0 (exact) or positive, got {shots}")
+    # The sampled count is one int64 binomial draw.
+    if not 0 <= shots < 2 ** 63:
+        raise ValueError(f"--shots must be 0 (exact) or positive and below 2**63, got {shots}")
     if witness_file is not None and witness_kind != "file":
         raise ValueError("--witness-file needs --witness file")
     if psi_file is not None and psi_kind != "file":
         raise ValueError("--psi-file needs --psi file")
+    if psi_kind == "file" and witness_kind == "file":
+        raise ValueError("--psi file needs --witness honest")
     ch = ChannelHandle(_load_circuit(path))
     if witness_kind == "file":
         if witness_file is None:

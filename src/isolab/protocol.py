@@ -201,20 +201,16 @@ def run_protocol_sampled(
 ) -> ProtocolResult:
     """Monte Carlo shots over the exact per-step distributions.
 
-    Each shot draws one uniform for the step-1 outcome and one for the
-    conditional step-3 outcome; the accept count is deterministic given
-    the seed.
+    Each shot accepts with probability p_accept, the product of the
+    step-1 and conditional step-3 probabilities, independently of the
+    others, so the accept count is one binomial draw: deterministic given
+    the seed, and drawn in memory that does not grow with *shots*.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
     exact = run_protocol_exact(ch, witness)
-    rng = np.random.default_rng(seed)
-    u1 = rng.random(shots)
-    u2 = rng.random(shots)
-    accepted = (u1 < exact.p_step1_symmetric) & (
-        u2 < exact.p_step3_antisymmetric_given_step1
-    )
-    return replace(exact, shots=ShotStats(shots, int(np.count_nonzero(accepted)), seed))
+    accepts = int(np.random.default_rng(seed).binomial(shots, exact.p_accept))
+    return replace(exact, shots=ShotStats(shots, accepts, seed))
 
 
 def symmetric_witness_family(

@@ -43,7 +43,7 @@ from .circuits import (
     gate,
     parse_circuit,
 )
-from .linalg import PureState, top_eigenpair
+from .linalg import PureState, _clamp01, top_eigenpair
 
 MAX_VERIFIER_QUBITS = 10
 # Slack of check_reduction: the found mixing meets its bound within it.
@@ -165,7 +165,7 @@ def max_accept_prob(v: VerifierSpec) -> tuple[float, PureState]:
     e = t.conj().T @ (accept[:, None] * t)
     e = (e + e.conj().T) / 2.0
     p, vec = top_eigenpair(e)
-    return float(min(max(p, 0.0), 1.0)), PureState(vec)
+    return _clamp01(p), PureState(vec)
 
 
 @dataclass(eq=False)
@@ -175,7 +175,6 @@ class ReductionOutput:
     channel_circuit: Circuit
     padding_qubits: int
     mixing_dim: int       # dimension of the garbage-plus-padding block
-    measured_qubit: int
 
 
 def _placement_swaps(logical_order: list[int]) -> list:
@@ -217,7 +216,6 @@ def build_instance(v: VerifierSpec, epsilon: float) -> ReductionOutput:
         channel_circuit=Circuit(len(v.witness_qubits), gates),
         padding_qubits=pad,
         mixing_dim=2 ** len(mix_targets),
-        measured_qubit=v.measured_qubit,
     )
 
 
@@ -227,7 +225,6 @@ class ReductionCheck:
     the reduced channel, under the promise implications."""
 
     accept_prob: float
-    epsilon: float
     min_opnorm: float
     case: str                 # "low-acceptance" | "high-acceptance" | "gap"
     bound: float | None
@@ -266,7 +263,6 @@ def check_reduction(
         case, bound, holds = "gap", None, None
     return ReductionCheck(
         accept_prob=p,
-        epsilon=epsilon,
         min_opnorm=m,
         case=case,
         bound=bound,

@@ -587,7 +587,7 @@ class TestOutputOpnorm:
         ch = ChannelHandle(circuit)
         worst = min(
             operator_norm(density_oracle(circuit, np.outer(v, v.conj())))
-            for _, v in _probe_family(ch, 4, 20)
+            for v in _probe_family(ch, 4, 20)
         )
         assert abs(probe_epsilon(ch, seed=4, n_random=20) - (1.0 - worst)) <= 1e-12
 

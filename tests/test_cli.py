@@ -593,8 +593,13 @@ class TestProtocol:
             # The honest search would run and the witness be ignored.
             (["--witness-file", "{f}"], "--witness-file needs --witness file"),
             (["--psi-file", "{f}"], "--psi-file needs --psi file"),
+            # The witness file would be scored and the state ignored.
+            (["--witness", "file", "--witness-file", "{f}", "--psi", "file"],
+             "--psi file needs --witness honest"),
+            (["--witness", "file", "--witness-file", "{f}", "--psi", "file", "--psi-file", "{f}"],
+             "--psi file needs --witness honest"),
         ],
-        ids=["witness-file", "psi-file"],
+        ids=["witness-file", "psi-file", "psi-with-witness-file", "psi-files-with-witness-file"],
     )
     def test_stray_file_is_input_error(self, runner, tmp_path, flags, message):
         path = write(tmp_path, "c.circuit", DEPOLARIZER)
@@ -602,6 +607,20 @@ class TestProtocol:
         res = runner.invoke(main, ["protocol", path, *(f.format(f=stray) for f in flags)])
         assert res.exit_code == 2
         assert res.output == f"error: {message}\n"
+
+    def test_shots_beyond_int64_is_input_error(self, runner, tmp_path):
+        path = write(tmp_path, "c.circuit", DEPOLARIZER)
+        res = runner.invoke(main, ["protocol", path, "--shots", str(2 ** 63)])
+        assert res.exit_code == 2
+        assert res.output.startswith("error: --shots must be")
+
+    def test_ten_billion_shots(self, runner, tmp_path):
+        path = write(tmp_path, "c.circuit", DEPOLARIZER)
+        res = runner.invoke(main, ["protocol", path, "--restarts", "2", "--shots", "10000000000"])
+        assert res.exit_code == 0
+        shots = json.loads(res.output)["results"]["shots"]
+        assert shots["n"] == 10 ** 10
+        assert 0 <= shots["accepts"] <= shots["n"]
 
     def test_shots_deterministic(self, runner, tmp_path):
         path = write(tmp_path, "c.circuit", DEPOLARIZER)

@@ -436,6 +436,20 @@ class TestProtocolSampled:
                 hits += 1
         assert hits >= 99
 
+    def test_memory_does_not_grow_with_shots(self):
+        # One binomial draw: ten billion shots hold no per-shot array.
+        ch = handle(DEPOLARIZER)
+        w = honest_witness(ch, maximally_entangled_state(2))
+        tracemalloc.start()
+        try:
+            res = run_protocol_sampled(ch, w, shots=10 ** 10, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert res.shots.n == 10 ** 10
+        assert 0 <= res.shots.accepts <= res.shots.n
+
 
 class TestSymmetricFamily:
     def test_family_is_symmetric(self):

@@ -302,7 +302,7 @@ class TestInstanceOutputStructure:
             psi = random_pure(rng, ch.dim_in ** 2)
             out = apply_extended(ch, psi).matrix
             n_total = int(np.log2(out.shape[0]))
-            m = inst.measured_qubit
+            m = v.measured_qubit
             t = out.reshape([2] * (2 * n_total))
             off = np.moveaxis(t, (m, n_total + m), (0, 1))[0, 1]
             assert np.abs(off).max() < 1e-10
