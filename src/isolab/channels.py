@@ -10,8 +10,10 @@ Every output on a pure input is read off V's slices, formed by one
 routine, ``_slices``, and its top eigenpair by one more, ``_top_output``.
 This module tests whether the channel is an exact isometry (Kraus rank
 one with A*A = I), and searches for the most mixing pure input of the
-reference-extended channel. The reference space always has the dimension
-of the input space, which suffices for the rank criterion.
+reference-extended channel, with a lower bound from the dual that ends the
+search once it meets the best value found (see ``_search``). The reference
+space always has the dimension of the input space, which suffices for the
+rank criterion.
 """
 
 from collections import deque
@@ -29,6 +31,7 @@ from .linalg import (
     TOL,
     DensityMatrix,
     PureState,
+    _EPS,
     _NOISE_FLOOR,
     top_eigenpair,
     trace_norm,
@@ -39,12 +42,15 @@ RANK_TOL = 1e-7
 # less than SEARCH_GAIN_FLOOR, once the squared tangent gradient norm is
 # below SEARCH_GRAD_FLOOR, when no backtracked step passes the Armijo test
 # with constant SEARCH_ARMIJO, or after SEARCH_MAX_ITER steps. The
-# quasi-Newton model keeps the last SEARCH_MEMORY step pairs.
+# quasi-Newton model keeps the last SEARCH_MEMORY step pairs. The search
+# stops restarting once its best value is within CERT_TOL of its dual lower
+# bound (see _dual_bound).
 SEARCH_GAIN_FLOOR = 1e-10
 SEARCH_GRAD_FLOOR = 1e-20
 SEARCH_ARMIJO = 1e-4
 SEARCH_MAX_ITER = 400
 SEARCH_MEMORY = 8
+CERT_TOL = 1e-6
 MAX_SEARCH_DIM_IN = 16
 NEAR_ISOMETRY_PROBE_FLOOR = 0.5
 
@@ -257,7 +263,8 @@ def _descend_opnorm(iso: np.ndarray, psi: np.ndarray):
     Each candidate is evaluated warm from the last accepted evaluation's
     Gram eigenvector until the first warm answer that fails its
     certificate; the rest of the restart runs eigh. The value returned is
-    evaluated cold, by eigh, at the final input."""
+    evaluated cold, by eigh, at the final input, with the top eigenvector u
+    of that evaluation's Gram matrix, which ``_dual_bound`` reads."""
     x = psi.view(float)
     # The pairs as (s, y, 1 / s.y), newest last.
     pairs = deque(maxlen=SEARCH_MEMORY)
@@ -311,7 +318,30 @@ def _descend_opnorm(iso: np.ndarray, psi: np.ndarray):
         if gain < SEARCH_GAIN_FLOOR:
             break
     psi = x.view(complex)
-    return psi, _top_output(iso, psi)[0]
+    f, _, _, u = _top_output(iso, psi)
+    return psi, f, u
+
+
+def _dual_bound(x: np.ndarray) -> float:
+    """lambda_min(X^* X) less the rounding of eigvalsh, d_in eps |X^* X|,
+    for X with d_in columns: a lower bound on the smallest largest output
+    eigenvalue whenever X^* X is A(Z) = sum_{e,f} Z_fe V_f^* V_e for an
+    environment density Z (King, Matsumoto, Nathanson and Ruskai,
+    quant-ph/0509126): the complementary output
+    Phi^c(rho)_{ef} = tr(V_e rho V_f^*) has the same top eigenvalue as the
+    extended output, and lambda_max(Phi^c(rho)) >= tr(Z Phi^c(rho)) =
+    tr(A(Z) rho) >= lambda_min(A(Z)). ``_search`` takes two Z:
+
+    * Z = I/r, X = V stacked as (r d_out) x d_in over sqrt(r), so X^* X is
+      the identity over r up to the rounding of V;
+    * Z = conj(u) u^T for u a unit top eigenvector of the Gram matrix
+      conj(W) W^T, which is Phi^c(rho) conjugated, so X = sum_e u_e V_e:
+      tight to first order at a minimizer where the top is simple. Any
+      unit u gives a bound; u decides only how tight it is.
+    """
+    a = x.conj().T @ x
+    lam = np.linalg.eigvalsh((a + a.conj().T) / 2)
+    return float(lam[0]) - x.shape[1] * _EPS * float(lam[-1])
 
 
 def min_output_opnorm(
@@ -322,7 +352,9 @@ def min_output_opnorm(
 
     The returned value is an upper bound on the true minimum; it is
     deterministic given the seed, and using more restarts with the same
-    seed never increases it. Each restart descends by limited-memory BFGS
+    seed never increases it. *restarts* is a cap: the search stops once its
+    best value is within CERT_TOL of a lower bound it has certified (see
+    ``_search``). Each restart descends by limited-memory BFGS
     on the unit sphere: a quasi-Newton direction from the last 8 step
     pairs, then Armijo backtracking from the unit step (see
     ``_descend_opnorm``). Each evaluation reads the top eigenpair of an
@@ -333,6 +365,20 @@ def min_output_opnorm(
     first uncertified answer the restart uses eigh alone. Each restart's
     value is one eigh at its final input.
     """
+    val, psi, _ = _search(ch, restarts, seed)
+    return val, psi
+
+
+def _search(ch: ChannelHandle, restarts: int, seed: int) -> tuple[float, PureState, float]:
+    """The search of ``min_output_opnorm``, with the lower end of its
+    bracket: the largest ``_dual_bound`` over Z = I/r and the Z = u u* of
+    each restart run.
+
+    Restarts draw their starts from one seeded stream in order and stop
+    once the best value is within CERT_TOL of the lower end, so a stopped
+    search is a prefix of the one that runs every restart; a bracket that
+    never closes runs all *restarts*.
+    """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if ch.dim_in > MAX_SEARCH_DIM_IN:
@@ -340,15 +386,20 @@ def min_output_opnorm(
             f"search supports input dimension up to {MAX_SEARCH_DIM_IN}, got {ch.dim_in}"
         )
     iso = _isometry(ch)
+    r, d_out, d_in = iso.shape
     rng = np.random.default_rng(seed)
     best_val = np.inf
     best_psi = None
+    lower = _dual_bound(iso.reshape(-1, d_in) / np.sqrt(r))
     for _ in range(restarts):
-        x0 = _random_unit(rng, ch.dim_in * ch.dim_in)
-        psi, val = _descend_opnorm(iso, x0)
+        x0 = _random_unit(rng, d_in * d_in)
+        psi, val, u = _descend_opnorm(iso, x0)
         if val < best_val:
             best_val, best_psi = val, psi
-    return float(best_val), PureState(best_psi)
+        lower = max(lower, _dual_bound((u @ iso.reshape(r, -1)).reshape(d_out, d_in)))
+        if best_val - lower <= CERT_TOL:
+            break
+    return float(best_val), PureState(best_psi), lower
 
 
 @dataclass
@@ -356,6 +407,7 @@ class IsometryReport:
     choi_rank: int
     exact_isometry: bool
     min_output_opnorm: float
+    min_output_opnorm_lower: float
     minimizing_state: PureState
     classification: str
 
@@ -365,15 +417,18 @@ def analyze_channel(
 ) -> IsometryReport:
     """Full isometry report at a given promise parameter.
 
+    The search value ``min_output_opnorm`` and its certified lower bound
+    ``min_output_opnorm_lower`` bracket the true minimum (see ``_search``);
+    the search ends once they are within CERT_TOL, or after *restarts*.
     Classification honors the promise gap: a yes-instance needs a found
     value at or below epsilon, a no-instance needs the exact-isometry
-    certificate, and anything else stays indeterminate rather than
-    guessing a lower bound the search cannot certify.
+    certificate, and anything else stays indeterminate; the lower bound is
+    reported but does not classify.
     """
     if not 0.0 <= epsilon < 0.5:
         raise ValueError("epsilon must lie in [0, 1/2)")
     # The search validates its arguments before the isometry is built.
-    val, psi = min_output_opnorm(ch, restarts, seed)
+    val, psi, lower = _search(ch, restarts, seed)
     iso = exact_isometry_test(ch)
     if iso.exact_isometry:
         classification = "no-instance"
@@ -385,6 +440,7 @@ def analyze_channel(
         choi_rank=iso.choi_rank,
         exact_isometry=iso.exact_isometry,
         min_output_opnorm=val,
+        min_output_opnorm_lower=lower,
         minimizing_state=psi,
         classification=classification,
     )

@@ -235,6 +235,7 @@ def analyze(path, epsilon, restarts, seed):
         "choi_rank": report.choi_rank,
         "exact_isometry": report.exact_isometry,
         "min_output_opnorm": report.min_output_opnorm,
+        "min_output_opnorm_lower": report.min_output_opnorm_lower,
         "classification": report.classification,
         "epsilon": epsilon,
         "minimizer": report.minimizing_state.amplitudes,

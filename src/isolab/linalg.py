@@ -13,9 +13,11 @@ unitarity, Kraus completeness, the isometry condition) are checked at
 tests. ``channels`` keeps the Kraus rank cut ``RANK_TOL`` = 1e-7 and,
 beside it, the mixing search's constants ``SEARCH_*``: gain floor 1e-10,
 squared-gradient floor 1e-20, Armijo constant 1e-4, 400 steps and a
-quasi-Newton memory of 8. A warm-started top eigenpair must reach a
-residual of ``RITZ_TOL`` = 1e-12 relative to the Frobenius norm before it
-stands in for ``eigh``. The eigh noise floor ``_NOISE_FLOOR`` is 64
+quasi-Newton memory of 8; the search stops restarting once its best value
+is within ``CERT_TOL`` = 1e-6 of its certified lower bound, whose
+eigvalsh gives up d_in machine epsilons of the matrix's norm for rounding.
+A warm-started top eigenpair must reach a residual of ``RITZ_TOL`` = 1e-12
+relative to the Frobenius norm before it stands in for ``eigh``. The eigh noise floor ``_NOISE_FLOOR`` is 64
 machine epsilons of the largest eigenvalue: the ``DensityMatrix``
 constructor drops the eigenpairs at or below it from the factor it keeps,
 and ``channels._isometry`` drops the environment directions at or below it.

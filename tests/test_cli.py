@@ -36,7 +36,7 @@ from isolab import (
     parse_verifier,
     serialize_circuit,
 )
-from isolab.channels import RANK_TOL
+from isolab.channels import CERT_TOL, RANK_TOL
 from isolab import cli
 from isolab.cli import _emit, _write, main
 
@@ -113,6 +113,14 @@ class TestAnalyze:
         assert r["classification"] == "yes-instance"
         assert abs(r["min_output_opnorm"] - 0.25) < 1e-3
         assert abs(r["minimizer_output_opnorm"] - 0.25) < 1e-3
+
+    def test_reports_certified_lower_bound(self, runner, tmp_path):
+        # The mixer's Kraus rank is 4, and I/4 certifies its minimum 1/4.
+        path = write(tmp_path, "c.circuit", DEPOLARIZER)
+        res = runner.invoke(main, ["analyze", path, "--restarts", "4", "--seed", "1"])
+        r = json.loads(res.output)["results"]
+        assert abs(r["min_output_opnorm_lower"] - 0.25) <= 1e-15
+        assert 0.0 <= r["min_output_opnorm"] - r["min_output_opnorm_lower"] <= CERT_TOL
 
     def test_oversized_circuit_exit_code(self, runner, tmp_path):
         path = write(tmp_path, "c.circuit", "qubits 13\n")
@@ -712,9 +720,11 @@ class TestReduce:
 class TestOneDecomposition:
     """Each command decomposes the environment Gram matrix of the compiled
     isometry once: one d_env x d_env eigh outside the top eigenpairs of the
-    search and of the acceptance operator, and no eigvalsh of it."""
+    search and of the acceptance operator, and no eigvalsh of it. The
+    search's d_in x d_in eigvalsh of its dual bound is not a decomposition
+    of the environment either."""
 
-    SEARCH = {"top_eigenpair", "_certified_ritz_pair"}
+    SEARCH = {"top_eigenpair", "_certified_ritz_pair", "_dual_bound"}
 
     @pytest.mark.parametrize(
         "command,extra",

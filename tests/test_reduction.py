@@ -357,6 +357,23 @@ class TestCheckReduction:
         assert rc.min_opnorm == pytest.approx(1.0, abs=1e-6)
         assert rc.bound_holds
 
+    def test_certified_search_runs_one_restart(self, monkeypatch):
+        # The instance's minimum is 1/r, which the search's I/r bound
+        # certifies after its first restart.
+        import isolab.channels as channels
+
+        real = channels._descend_opnorm
+        runs = []
+
+        def counting(*args):
+            runs.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(channels, "_descend_opnorm", counting)
+        rc = check_reduction(parse_verifier(ACCEPT_IF_ONE), 0.03, restarts=16, seed=0)
+        assert rc.bound_holds
+        assert len(runs) == 1
+
     def test_gap_verifier(self):
         rc = check_reduction(parse_verifier(COIN_FLIP), 0.3, restarts=6, seed=0)
         assert rc.case == "gap"
