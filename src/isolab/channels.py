@@ -66,15 +66,13 @@ class NotNearIsometryError(ValueError):
 class ChannelHandle:
     """A channel given by its circuit, which validated itself when it was
     built, with dimension bookkeeping. The isometry V in its Kraus basis
-    (see ``_isometry``), whose leading rows are the minimal Kraus set, the
-    isometry as compiled, which only ``choi_of`` reads, and the protocol's
-    pulled-back swap (``protocol._pulled_back_swap``) are computed on first
-    use and kept with the handle."""
+    (see ``_isometry``), whose leading rows are the minimal Kraus set, and
+    the isometry as compiled, which only ``choi_of`` reads, are computed on
+    first use and kept with the handle; nothing else is."""
 
     circuit: Circuit
     _isometry: np.ndarray | None = field(default=None, init=False, repr=False)
     _compiled: np.ndarray | None = field(default=None, init=False, repr=False)
-    _swap: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def n_in(self) -> int:

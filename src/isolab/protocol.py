@@ -25,10 +25,9 @@ from .channels import (
     ChannelHandle,
     DimensionCapError,
     _isometry,
+    _search,
     exact_isometry_test,
     max_total_dim,
-    min_output_opnorm,
-    probe_epsilon,
 )
 from .linalg import TOL, DensityMatrix, PureState, _as_density, _clamp01, as_matrix
 
@@ -90,14 +89,13 @@ class ProtocolResult:
 
 
 def _check_protocol_cap(ch: ChannelHandle) -> None:
-    """Refuse a protocol whose two-copy witness, or the matrix Q = M* M of
-    dimension d_env d_in that it forms from V (see ``_swap_observable``),
-    would exceed the cap; checked before any witness is built, and the
-    witness before V is compiled."""
-    cap = max_total_dim()
-    if ch.dim_in ** 4 > cap or len(_isometry(ch)) * ch.dim_in > cap:
+    """Refuse a protocol whose two-copy witness, of dimension d_in^4, exceeds
+    the cap, before any witness is built or V compiled; the output Gram that
+    T is built from has the Choi matrix's size, which the channel cap admits."""
+    cap, dim = max_total_dim(), ch.dim_in ** 4
+    if dim > cap:
         raise DimensionCapError(
-            f"protocol dimension exceeds the cap of {cap} (set ISOLAB_MAX_DIM to override)"
+            f"protocol witness dimension {dim} exceeds the cap of {cap} (set ISOLAB_MAX_DIM to override)"
         )
 
 
@@ -128,55 +126,41 @@ def _coerce_witness(ch: ChannelHandle, witness) -> DensityMatrix:
 
 def _swap_observable(ch: ChannelHandle) -> np.ndarray:
     """T = (Phi* (x) Phi*)(W_out), the output swap pulled back through both
-    copies of the channel, axes (a, b, a', b'): with M = V as a
-    d_out x (d_env d_in) matrix and Q = M* M, axes (e, a, f, b),
-    T[a, b, a', b'] = sum_{e, f} Q[e, a, f, b'] Q[f, b, e, a']."""
+    copies of the channel, axes (a, b, a', b'): with the output Gram
+    P = sum_e conj(V_e) (x) V_e on axes (x, a, y, a'), d_in times the
+    conjugated Choi matrix, T[a, b, a', b'] = sum_{x, y} P[x, a, y, a']
+    P[y, b, x, b'], at a cost of d_out^2 d_in^4 whatever the Choi rank."""
     v = _isometry(ch)
-    d_env, d_out, d_in = v.shape
-    m = v.transpose(1, 0, 2).reshape(d_out, d_env * d_in)
-    q = (m.conj().T @ m).reshape(d_env, d_in, d_env, d_in)
-    return np.tensordot(q, q, axes=([0, 2], [2, 0])).transpose(0, 2, 3, 1)
+    p = np.tensordot(v.conj(), v, axes=(0, 0))
+    return np.tensordot(p, p, axes=([0, 2], [2, 0])).transpose(0, 2, 1, 3)
 
 
 def _check_swap_observable(ch: ChannelHandle, t: np.ndarray) -> None:
-    """T is Hermitian and tr T = |Phi(I)|_F^2 with Phi(I) = sum_e V_e V_e*;
-    a violation is a fault of this module, not of the witness."""
-    d = ch.dim_in ** 2
-    mat = t.reshape(d, d)
-    dev = float(np.abs(mat - mat.conj().T).max())
+    """T, as a d_in^2 x d_in^2 matrix, is Hermitian and tr T = |Phi(I)|_F^2
+    with Phi(I) = sum_e V_e V_e*; a violation is a fault of this module, not
+    of the witness."""
+    dev = float(np.abs(t - t.conj().T).max())
     if not dev <= TOL:
         raise RuntimeError(f"pulled-back swap is not Hermitian (deviation {dev:.3e})")
     v = _isometry(ch)
     phi_id = np.tensordot(v, v.conj(), axes=([0, 2], [0, 2]))
     expected = float(np.vdot(phi_id, phi_id).real)
-    tr = float(np.real(np.trace(mat)))
+    tr = float(np.real(np.trace(t)))
     if not abs(tr - expected) <= TOL:
         raise RuntimeError(f"pulled-back swap has trace {tr!r}, not |Phi(I)|_F^2 = {expected!r}")
 
 
 def _pulled_back_swap(ch: ChannelHandle) -> np.ndarray:
-    """The handle's pulled-back swap T, built and checked on first use."""
-    if ch._swap is None:
-        t = _swap_observable(ch)
-        _check_swap_observable(ch, t)
-        ch._swap = t
-    return ch._swap
+    """The pulled-back swap T as a d_in^2 x d_in^2 matrix, built and checked."""
+    t = _swap_observable(ch).reshape(ch.dim_in ** 2, -1)
+    _check_swap_observable(ch, t)
+    return t
 
 
-def run_protocol_exact(ch: ChannelHandle, witness) -> ProtocolResult:
-    """Exact outcome probabilities of the two swap tests on a witness given
-    as a DensityMatrix or as an array, which is validated in full.
-
-    Step 1 projects the witness onto the symmetric subspace (rejecting on
-    the antisymmetric outcome), step 2 applies the extended channel to
-    each copy, and step 3 accepts on the antisymmetric outcome, so
-    p_accept is the product of the step-1 symmetric probability and the
-    conditional step-3 antisymmetric probability, (1 - <W_out>)/2 with
-    <W_out> read off the pulled-back swap T.
-    """
-    dm = _coerce_witness(ch, witness)
-    d, d2 = ch.dim_in, ch.dim_in ** 2
-    t = _pulled_back_swap(ch).reshape(d2, d2)
+def _score(t: np.ndarray, dm: DensityMatrix) -> ProtocolResult:
+    """The exact protocol on the witness *dm* through the pulled-back swap *t*."""
+    d2 = len(t)
+    d = isqrt(d2)
     # With P F the projection of the witness's factor onto the symmetric
     # subspace of the copy swap, p1 = |P F|^2 and <W_out> = <PF, X PF> /
     # p1 for X = T (x) W_ref: (X w)[a, r, b, s] = sum T[a, b, c, e]
@@ -194,6 +178,21 @@ def run_protocol_exact(ch: ChannelHandle, witness) -> ProtocolResult:
         return ProtocolResult(p1, 0.0, 0.0)
     p3 = _clamp01((1.0 - w_out / weight) / 2.0)
     return ProtocolResult(p1, p3, p1 * p3)
+
+
+def run_protocol_exact(ch: ChannelHandle, witness) -> ProtocolResult:
+    """Exact outcome probabilities of the two swap tests on a witness given
+    as a DensityMatrix or as an array, which is validated in full.
+
+    Step 1 projects the witness onto the symmetric subspace (rejecting on
+    the antisymmetric outcome), step 2 applies the extended channel to
+    each copy, and step 3 accepts on the antisymmetric outcome, so
+    p_accept is the product of the step-1 symmetric probability and the
+    conditional step-3 antisymmetric probability, (1 - <W_out>)/2 with
+    <W_out> read off the pulled-back swap T, built once per call.
+    """
+    dm = _coerce_witness(ch, witness)
+    return _score(_pulled_back_swap(ch), dm)
 
 
 def run_protocol_sampled(
@@ -287,28 +286,30 @@ def check_protocol_bounds(
     minimizer must be accepted with probability at least (1 - m)/2 where m
     is the found output eigenvalue. Soundness: over the seeded symmetric
     witness family, acceptance must stay at zero for exact isometries and
-    below 9 * epsilon otherwise, with epsilon taken from the caller or
-    measured from probe states.
+    below 9 * epsilon otherwise. Epsilon is the caller's, in [0, 1], or else
+    one minus the search's certified lower bound (see ``channels._search``),
+    an upper bound on the true defect. One pulled-back swap scores every
+    witness.
     """
-    m_val, psi = min_output_opnorm(ch, restarts=restarts, seed=seed)
-    honest = run_protocol_exact(ch, honest_witness(ch, psi))
-    lower = (1.0 - m_val) / 2.0
-    completeness = CompletenessCheck(
-        min_opnorm=m_val,
-        p_accept=honest.p_accept,
-        lower_bound=lower,
-        holds=honest.p_accept >= lower - BOUNDS_SLACK,
-    )
+    if epsilon is not None and not 0.0 <= float(epsilon) <= 1.0:
+        raise ValueError(f"epsilon must be a number in [0, 1], got {epsilon!r}")
+    m_val, psi, m_lower = _search(ch, restarts, seed)
+    # The family checks the protocol cap before T is built.
+    family = symmetric_witness_family(ch, n_random=n_random_witnesses, seed=seed)
+    t = _pulled_back_swap(ch)
+    p_honest = _score(t, honest_witness(ch, psi)).p_accept
+    floor = (1.0 - m_val) / 2.0
+    completeness = CompletenessCheck(min_opnorm=m_val, p_accept=p_honest, lower_bound=floor,
+                                     holds=p_honest >= floor - BOUNDS_SLACK)
 
     exact = exact_isometry_test(ch).exact_isometry
-    family = symmetric_witness_family(ch, n_random=n_random_witnesses, seed=seed)
-    max_p = max(run_protocol_exact(ch, w).p_accept for w in family)
+    max_p = max(_score(t, w).p_accept for w in family)
     if exact:
         eps, source, slack = 0.0, "exact", TOL
     elif epsilon is not None:
         eps, source, slack = float(epsilon), "given", BOUNDS_SLACK
     else:
-        eps, source, slack = probe_epsilon(ch, seed=seed), "probes", BOUNDS_SLACK
+        eps, source, slack = _clamp01(1.0 - m_lower), "dual bound", BOUNDS_SLACK
     soundness = SoundnessCheck(
         exact_isometry=exact,
         epsilon_used=eps,

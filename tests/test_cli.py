@@ -19,9 +19,12 @@ from conftest import (
     choi_oracle,
     density_oracle,
     kraus_apply_oracle,
+    kraus_from_choi_oracle,
     mixed_circuits,
+    parallel_extended_output_oracle,
     random_unitary,
     report_oracle,
+    swap_operator,
 )
 from isolab import (
     AddAncilla,
@@ -643,26 +646,27 @@ class TestProtocol:
 class TestProtocolCap:
     def test_wide_output_runs_at_default_cap(self, runner, tmp_path):
         # 1 -> 6 qubits: a two-copy output of (64 * 2)^2 entries a side, which
-        # the protocol never forms; Q = M* M is 2 x 2.
+        # the protocol never forms; the output Gram P is 128 x 128.
         path = write(tmp_path, "c.circuit", "qubits 1\n" + "ancilla\n" * 5 + "gate H 0\ngate CNOT 0 1\n")
         res = runner.invoke(main, ["protocol", path, "--restarts", "2"])
         assert res.exit_code == 0
         assert json.loads(res.output)["results"]["p_accept"] <= 1e-9
 
-    def test_environment_over_cap_refused_before_q(self, runner, tmp_path, monkeypatch):
+    def test_wide_environment_runs_at_channel_cap(self, runner, tmp_path):
         # Depolarizing three qubits of a 1-qubit input leaves a Choi rank of
-        # 16, so Q has dimension 16 * 2 = 32, over a cap of 16 that the
-        # channel itself (8 x 2) and the witness (16) meet.
-        import isolab.protocol as protocol
-
-        def refuse(ch):
-            raise AssertionError("formed Q over the cap")
-
-        monkeypatch.setattr(protocol, "_swap_observable", refuse)
-        path = write(tmp_path, "c.circuit", "qubits 1\nancilla\nancilla\nchannel depolarize 0 1 2\n")
+        # 16, over a cap of 16 that the channel itself (8 x 2) and the
+        # witness (16) meet; the output Gram has the Choi matrix's size.
+        text = "qubits 1\nancilla\nancilla\nchannel depolarize 0 1 2\n"
+        path = write(tmp_path, "c.circuit", text)
         res = runner.invoke(main, ["protocol", path, "--restarts", "1"], env={"ISOLAB_MAX_DIM": "16"})
-        assert res.exit_code == 3
-        assert "protocol dimension exceeds the cap of 16" in res.output
+        assert res.exit_code == 0
+        r = json.loads(res.output)["results"]
+        psi = np.array([complex(a, b) for a, b in r["psi"]])
+        ops = kraus_from_choi_oracle(choi_oracle(parse_circuit(text)), 2, rank_tol=0.0)
+        rho = np.outer(psi, psi.conj())
+        sigma = parallel_extended_output_oracle(ops, np.kron(rho, rho), 2)
+        expected = (1.0 - np.trace(swap_operator(16) @ sigma).real) / 2.0
+        assert abs(r["p_accept"] - expected) <= 1e-12
 
 
 class TestReduce:

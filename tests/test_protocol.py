@@ -350,13 +350,19 @@ class TestParallelExtendedOutput:
         assert 0.0 < res.p_accept < 0.5
         assert peak < (ch.dim_out * ch.dim_in) ** 4 * 16
 
-    def test_honest_protocol_at_three_input_qubits(self):
-        # A two-copy witness matrix would be 4096 x 4096, 256 MiB; the
-        # honest witness's factor is one column of 4096 entries.
+    @pytest.mark.parametrize("n_in", [3, 4])
+    def test_honest_protocol_at_many_input_qubits(self, n_in, monkeypatch):
+        # A two-copy witness matrix would be 4096 x 4096, 256 MiB, at 3
+        # input qubits and 65536 x 65536 at 4; the honest witness's factor
+        # is one column. At 4 the witness dimension d_in^4 = 65536 is over
+        # the default cap.
+        if n_in == 4:
+            monkeypatch.setenv("ISOLAB_MAX_DIM", "65536")
         rng = np.random.default_rng(34)
-        body = Circuit(3, [UnitaryGate("umatrix", range(3), random_unitary(rng, 8))])
+        d = 2 ** n_in
+        body = Circuit(n_in, [UnitaryGate("umatrix", range(n_in), random_unitary(rng, d))])
         ch = ChannelHandle(append_output_depolarizing(body, 0.3))
-        psi = random_pure(rng, 64)
+        psi = random_pure(rng, d * d)
         tracemalloc.start()
         try:
             res = run_protocol_exact(ch, honest_witness(ch, psi))
@@ -474,14 +480,15 @@ class TestProtocolBounds:
         assert len(choi_calls) == 0
 
     def test_cap_checked_and_swap_built_once(self, monkeypatch):
-        # The depolarizer is no exact isometry, so the probes run too.
+        # The depolarizer is no exact isometry, so epsilon comes from the
+        # search's dual bound.
         import isolab.channels as channels
         import isolab.protocol as protocol
 
         caps = _call_log(monkeypatch, channels._check_cap)
         builds = _call_log(monkeypatch, protocol._swap_observable)
         rep = check_protocol_bounds(handle(DEPOLARIZER), n_random_witnesses=4, restarts=2, seed=13)
-        assert rep.soundness.epsilon_source == "probes"
+        assert rep.soundness.epsilon_source == "dual bound"
         assert (len(caps), len(builds)) == (1, 1)
 
     def test_depolarizer_completeness_equality(self):
@@ -500,9 +507,33 @@ class TestProtocolBounds:
         noisy = append_output_depolarizing(parse_circuit(COPY), 0.005)
         rep = check_protocol_bounds(ChannelHandle(noisy), n_random_witnesses=8, restarts=4, seed=12)
         assert not rep.soundness.exact_isometry
-        assert rep.soundness.epsilon_source == "probes"
+        assert rep.soundness.epsilon_source == "dual bound"
         assert rep.soundness.holds
         assert rep.soundness.max_p_accept <= 9 * rep.soundness.epsilon_used + 1e-6
+
+    @pytest.mark.parametrize("n_in", [1, 2])
+    @pytest.mark.parametrize("s", [0.05, 0.5, 1.0])
+    def test_dual_bound_epsilon_covers_true_defect(self, n_in, s):
+        # On an output-depolarized unitary the extended output's smallest
+        # top eigenvalue is 1 - s (1 - 1/d^2), at the maximally entangled
+        # input; probes miss that input and fall short of the defect.
+        rng = np.random.default_rng(40 + n_in)
+        d = 2 ** n_in
+        body = Circuit(n_in, [UnitaryGate("umatrix", range(n_in), random_unitary(rng, d))])
+        ch = ChannelHandle(append_output_depolarizing(body, s))
+        rep = check_protocol_bounds(ch, n_random_witnesses=4, restarts=2, seed=14)
+        assert rep.soundness.epsilon_source == "dual bound"
+        assert rep.soundness.epsilon_used >= s * (1.0 - 1.0 / d ** 2) - 1e-12
+        assert rep.soundness.holds
+
+    @pytest.mark.parametrize("epsilon", [-0.1, 1.5, float("nan"), float("inf")])
+    def test_out_of_range_epsilon_refused_before_search(self, epsilon, monkeypatch):
+        import isolab.channels as channels
+
+        searches = _call_log(monkeypatch, channels._search)
+        with pytest.raises(ValueError, match="epsilon"):
+            check_protocol_bounds(handle(DEPOLARIZER), epsilon=epsilon)
+        assert searches == []
 
 
 class TestTrustBoundary:
